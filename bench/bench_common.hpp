@@ -33,11 +33,6 @@ struct BenchOptions {
   /// dcache.bench.v1) with wall-clock, ops/sec and peak RSS. Timing data
   /// goes to this sidecar only — stdout stays byte-deterministic.
   std::string benchJsonOut;
-  /// --disagg 0|1 (or DCACHE_DISAGG=0|1; the flag wins): include the fifth,
-  /// memory-disaggregated architecture in the arch-sweeping benches. On by
-  /// default; --disagg 0 restores the pre-disaggregation four-architecture
-  /// stdout byte-for-byte.
-  bool disagg = true;
   /// argv[0] basename, for the perf record's bench name.
   std::string benchName;
   /// Process wall-clock start, captured in parseBenchOptions.
@@ -51,6 +46,20 @@ struct BenchOptions {
   return options;
 }
 
+/// Value of the flag at argv[i] when it is `flag`, in either the
+/// "--flag value" form (advancing i past the value) or "--flag=value";
+/// nullptr when argv[i] is another argument or the value is missing.
+[[nodiscard]] inline const char* flagValue(int argc, char** argv, int& i,
+                                           std::string_view flag) {
+  const std::string_view arg = argv[i];
+  if (arg == flag) return i + 1 < argc ? argv[++i] : nullptr;
+  if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
+      arg[flag.size()] == '=') {
+    return argv[i] + flag.size() + 1;
+  }
+  return nullptr;
+}
+
 /// Parse shared bench flags out of argv (both "--flag value" and
 /// "--flag=value" forms); unrecognized arguments are ignored, matching
 /// parseMatrixOptions. Also stores the result in benchOptions().
@@ -58,34 +67,16 @@ struct BenchOptions {
   BenchOptions options;
   options.matrix = core::parseMatrixOptions(argc, argv);
   options.trace.seed = options.matrix.rootSeed;
-  const auto value = [&](int& i, std::string_view arg,
-                         std::string_view flag) -> const char* {
-    if (arg == flag) {
-      if (i + 1 < argc) return argv[++i];
-      return nullptr;
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return argv[i] + flag.size() + 1;
-    }
-    return nullptr;
-  };
-  if (const char* env = std::getenv("DCACHE_DISAGG")) {
-    options.disagg = env[0] != '0';
-  }
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (const char* v = value(i, arg, "--disagg")) {
-      options.disagg = std::strtoull(v, nullptr, 10) != 0;
-    } else if (const char* v = value(i, arg, "--trace-sample")) {
+    if (const char* v = flagValue(argc, argv, i, "--trace-sample")) {
       options.trace.sampleEvery =
           static_cast<std::uint64_t>(std::strtoull(v, nullptr, 10));
-    } else if (const char* v = value(i, arg, "--trace-keep")) {
+    } else if (const char* v = flagValue(argc, argv, i, "--trace-keep")) {
       options.trace.keepTraces =
           static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (const char* v = value(i, arg, "--metrics-out")) {
+    } else if (const char* v = flagValue(argc, argv, i, "--metrics-out")) {
       options.metricsOut = v;
-    } else if (const char* v = value(i, arg, "--bench-json")) {
+    } else if (const char* v = flagValue(argc, argv, i, "--bench-json")) {
       options.benchJsonOut = v;
     }
   }
@@ -123,21 +114,17 @@ struct BenchOptions {
 }
 
 /// Perf-trajectory record (schema dcache.bench.v1): wall-clock, simulated
-/// op throughput and peak RSS for one bench invocation. tools/perf.sh
-/// records these per bench into perf/BENCH_<name>.json and fails the perf
-/// lane on >20% wall-clock regressions; stdout (golden-diffed) is never
-/// touched.
-inline void writeBenchJson(const BenchOptions& options,
-                           std::span<const core::ExperimentResult> results) {
+/// op throughput (`ops` serve calls over `cells` cells) and peak RSS for
+/// one bench invocation. tools/perf.sh records these per bench into
+/// perf/BENCH_<name>.json and fails the perf lane on >20% wall-clock
+/// regressions; stdout (golden-diffed) is never touched.
+inline void writeBenchJson(const BenchOptions& options, std::uint64_t ops,
+                           std::size_t cells) {
   // dcache-lint: allow(determinism, bench wall-clock goes to the --bench-json perf sidecar only)
   const auto end = std::chrono::steady_clock::now();
   const double wallMs =
       std::chrono::duration<double, std::milli>(end - options.startTime)
           .count();
-  std::uint64_t ops = 0;
-  for (const core::ExperimentResult& r : results) {
-    ops += r.counters.reads + r.counters.writes;
-  }
   const double opsPerSec = wallMs > 0.0 ? ops * 1000.0 / wallMs : 0.0;
   long peakRssKb = 0;
   if (rusage usage{}; getrusage(RUSAGE_SELF, &usage) == 0) {
@@ -161,8 +148,18 @@ inline void writeBenchJson(const BenchOptions& options,
                "}\n",
                options.benchName.c_str(), wallMs,
                static_cast<unsigned long long>(ops), opsPerSec, peakRssKb,
-               results.size());
+               cells);
   std::fclose(f);
+}
+
+/// The record for experiment cells: their served reads + writes.
+inline void writeBenchJson(const BenchOptions& options,
+                           std::span<const core::ExperimentResult> results) {
+  std::uint64_t ops = 0;
+  for (const core::ExperimentResult& r : results) {
+    ops += r.counters.reads + r.counters.writes;
+  }
+  writeBenchJson(options, ops, results.size());
 }
 
 /// Shared bench epilogue: when --trace-sample is on, print each traced
@@ -195,22 +192,6 @@ inline void finishBench(std::span<const core::ExperimentResult> results) {
   if (!options.benchJsonOut.empty()) {
     writeBenchJson(options, results);
   }
-}
-
-/// Architecture list for an arch-sweeping bench: `base` (a bench's own
-/// roster, or core::kAllArchitectures) with kDisaggregated appended/kept
-/// only while the --disagg gate is open. With the gate closed every sweep
-/// collapses to its pre-disaggregation roster, so stdout stays byte-exact.
-[[nodiscard]] inline std::vector<core::Architecture> sweepArchitectures(
-    std::span<const core::Architecture> base = core::kAllArchitectures) {
-  std::vector<core::Architecture> archs;
-  for (const core::Architecture arch : base) {
-    if (arch == core::Architecture::kDisaggregated && !benchOptions().disagg) {
-      continue;
-    }
-    archs.push_back(arch);
-  }
-  return archs;
 }
 
 /// Offered load for the compute-bound synthetic sweeps. The paper's testbed

@@ -37,30 +37,27 @@
 // you'd need to ride the gray window out bare. Every cell is seeded from
 // (--seed, cell index) alone, so output is byte-identical at any --jobs.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/cost_model.hpp"
 #include "core/matrix.hpp"
 #include "sim/fault.hpp"
+#include "timeline.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/synthetic.hpp"
 
 using namespace dcache;
 
 namespace {
 
-// Sweep roster: the kDisaggregated tail rides behind the --disagg gate
-// (bench::sweepArchitectures strips it, restoring the original cells).
 constexpr core::Architecture kArchs[] = {
     core::Architecture::kBase, core::Architecture::kRemote,
     core::Architecture::kLinked, core::Architecture::kLinkedVersion,
     core::Architecture::kDisaggregated};
+constexpr std::size_t kNumArchs = std::size(kArchs);
 
 enum class Posture : std::size_t { kNone = 0, kBreaker = 1, kFull = 2 };
 constexpr std::size_t kPostures = 3;
@@ -84,44 +81,16 @@ struct Fig11Options {
 /// were already consumed by parseBenchOptions.
 Fig11Options parseFig11Options(int argc, char** argv) {
   Fig11Options options;
-  const auto value = [&](int& i, std::string_view arg,
-                         std::string_view flag) -> const char* {
-    if (arg == flag) {
-      if (i + 1 < argc) return argv[++i];
-      return nullptr;
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return argv[i] + flag.size() + 1;
-    }
-    return nullptr;
-  };
   for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (const char* v = value(i, arg, "--slow")) {
+    if (const char* v = bench::flagValue(argc, argv, i, "--slow")) {
       options.slowFactor = std::strtod(v, nullptr);
-    } else if (const char* v = value(i, arg, "--flakyp")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--flakyp")) {
       options.flakyDrop = std::strtod(v, nullptr);
-    } else if (const char* v = value(i, arg, "--rf")) {
+    } else if (const char* v = bench::flagValue(argc, argv, i, "--rf")) {
       options.replicationFactor = std::strtoull(v, nullptr, 10);
     }
   }
   return options;
-}
-
-/// Op counts, honoring the DCACHE_GOLDEN_OPS fast mode.
-struct OpBudget {
-  std::uint64_t warmupOps;
-  std::uint64_t windowOps;
-  std::uint64_t calibrateWarmOps;
-  std::uint64_t calibrateOps;
-};
-
-OpBudget opBudget() {
-  if (const std::uint64_t cap = core::goldenOpsCap(); cap > 0) {
-    return {cap * 4, cap, cap, cap};
-  }
-  return {120000, 30000, 60000, 30000};
 }
 
 /// Provisioning headroom the capacities are calibrated to. Higher than
@@ -129,61 +98,6 @@ OpBudget opBudget() {
 /// displaced traffic, so surviving a single-node gray failure needs the
 /// remaining nodes to run doubled load below saturation.
 constexpr double kHeadroomFactor = 3.0;
-
-/// Per-tier steady CPU demand, measured against an unconstrained
-/// deployment — the denominator the capacities are provisioned from.
-struct TierDemand {
-  double appMicrosPerSec = 0.0;
-  double remoteMicrosPerSec = 0.0;
-  double sqlMicrosPerSec = 0.0;
-  double kvMicrosPerSec = 0.0;
-};
-
-TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
-  core::DeploymentConfig config;
-  config.architecture = arch;
-  core::Deployment deployment(config);
-  workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
-  };
-  for (std::uint64_t i = 0; i < budget.calibrateWarmOps; ++i) serveOne();
-  deployment.clearMeters();
-  for (std::uint64_t i = 0; i < budget.calibrateOps; ++i) serveOne();
-
-  const double seconds =
-      static_cast<double>(budget.calibrateOps) / bench::kSyntheticQps;
-  TierDemand demand;
-  for (const sim::Tier* tier : deployment.tiers()) {
-    const double perNodeMicrosPerSec = tier->aggregateCpu().totalMicros() /
-                                 seconds /
-                                 static_cast<double>(tier->size());
-    switch (tier->kind()) {
-      case sim::TierKind::kAppServer:
-        demand.appMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kRemoteCache:
-        demand.remoteMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kSqlFrontend:
-        demand.sqlMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      case sim::TierKind::kKvStorage:
-        demand.kvMicrosPerSec = perNodeMicrosPerSec;
-        break;
-      default:
-        break;
-    }
-  }
-  return demand;
-}
 
 /// Tier whose node 0 the gray faults target: wherever this architecture
 /// keeps its cache-adjacent hot path. Base has no cache tier; its app node
@@ -196,52 +110,57 @@ TierDemand calibrateDemand(core::Architecture arch, const OpBudget& budget) {
   }
 }
 
-struct WindowRow {
-  double p50Micros = 0.0;
-  double p99Micros = 0.0;
-  double goodput = 1.0;  // fraction of ops whose client leg answered
-  double hitRatio = 0.0;
-  std::uint64_t degradedReads = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t failedOps = 0;
-  std::uint64_t breakerShortCircuits = 0;
-  std::uint64_t ejected = 0;            // ejections detected this window
-  std::uint64_t replicaFallbacks = 0;
-  std::uint64_t staleReplicaReads = 0;
-  std::uint64_t replicaWriteFanout = 0;
-  double detectionLagMicros = 0.0;
-  util::Money cost;  // this window's bill at the monthly rate
-};
+/// The gray-fault timeline against `arch`, in window-start times.
+sim::FaultSchedule grayFaults(core::Architecture arch,
+                              const Fig11Options& options,
+                              const bench::Timeline& timeline) {
+  const auto at = [&timeline](std::size_t window) {
+    return timeline.windowStartMicros(window);
+  };
+  sim::FaultSchedule faults;
+  const sim::TierKind tier = grayTier(arch);
+  faults.slowNode(at(kSlowFrom), at(kSlowUntil), tier, 0, options.slowFactor);
+  if (arch == core::Architecture::kRemote) {
+    // Requests toward the cache are lost; replies still flow — the cache
+    // looks healthy from its own side while every client call times out.
+    faults.partialPartition(at(kPartitionWindow), at(kPartitionWindow + 1),
+                            sim::TierKind::kAppServer,
+                            sim::TierKind::kRemoteCache);
+  } else if (arch == core::Architecture::kDisaggregated) {
+    // One-sided reads toward the far-memory pool are lost; the pool itself
+    // is healthy, so only the clients see the outage.
+    faults.partialPartition(at(kPartitionWindow), at(kPartitionWindow + 1),
+                            sim::TierKind::kAppServer,
+                            sim::TierKind::kFarMemory);
+  } else {
+    // SQL -> KV requests are lost: the miss path (and Base's every read)
+    // stalls while a warm cache shields whatever it already holds.
+    faults.partialPartition(at(kPartitionWindow), at(kPartitionWindow + 1),
+                            sim::TierKind::kSqlFrontend,
+                            sim::TierKind::kKvStorage);
+  }
+  faults.flakyNode(at(kFlakyWindow), at(kFlakyWindow + 1), tier, 0,
+                   options.flakyDrop);
+  return faults;
+}
 
-struct CellResult {
-  std::string architecture;
-  Posture posture = Posture::kNone;
-  std::vector<WindowRow> windows;
+struct GrayCell : bench::TimelineCell {
   std::uint64_t totalEjections = 0;
   std::uint64_t readmissions = 0;
   std::uint64_t probesGranted = 0;
-  obs::TraceSummary trace;  // final window only (clearMeters resets it)
 };
 
-CellResult runGrayCell(std::size_t index, std::uint64_t rootSeed,
-                       const Fig11Options& options, const OpBudget& budget,
-                       const std::vector<core::Architecture>& archs) {
-  const core::Architecture arch = archs[index % archs.size()];
-  const Posture posture = static_cast<Posture>(index / archs.size());
-  const TierDemand demand = calibrateDemand(arch, budget);
+GrayCell runGrayCell(std::size_t index, std::uint64_t rootSeed,
+                     const Fig11Options& options,
+                     const bench::OpBudget& budget) {
+  const core::Architecture arch = kArchs[index % kNumArchs];
+  const Posture posture = static_cast<Posture>(index / kNumArchs);
 
   core::DeploymentConfig config;
   config.architecture = arch;
   config.faultSeed = core::cellSeed(rootSeed, index);
-  config.overload.appCapacityMicrosPerSec =
-      demand.appMicrosPerSec * kHeadroomFactor;
-  config.overload.remoteCacheCapacityMicrosPerSec =
-      demand.remoteMicrosPerSec * kHeadroomFactor;
-  config.overload.sqlCapacityMicrosPerSec =
-      demand.sqlMicrosPerSec * kHeadroomFactor;
-  config.overload.kvCapacityMicrosPerSec =
-      demand.kvMicrosPerSec * kHeadroomFactor;
+  bench::applyHeadroom(config.overload, bench::calibrateDemand(arch, budget),
+                       kHeadroomFactor);
   if (posture == Posture::kBreaker || posture == Posture::kFull) {
     // Breakers alone (no tier capacities): the PR 4 defense at its best.
     config.overload.breakersEnabled = true;
@@ -251,144 +170,67 @@ CellResult runGrayCell(std::size_t index, std::uint64_t rootSeed,
     config.health.enabled = true;
     config.cacheReplicationFactor = options.replicationFactor;
   }
-  config = bench::withBenchTrace(config);
-  core::Deployment deployment(config);
-
   workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
-  };
-  auto windowStartMicros = [&](std::size_t window) {
-    return static_cast<std::uint64_t>(
-        microsPerOp *
-        static_cast<double>(budget.warmupOps + window * budget.windowOps));
-  };
-
-  for (std::uint64_t i = 0; i < budget.warmupOps; ++i) serveOne();
-
-  sim::FaultSchedule faults;
-  const sim::TierKind tier = grayTier(arch);
-  faults.slowNode(windowStartMicros(kSlowFrom), windowStartMicros(kSlowUntil),
-                  tier, 0, options.slowFactor);
-  if (arch == core::Architecture::kRemote) {
-    // Requests toward the cache are lost; replies still flow — the cache
-    // looks healthy from its own side while every client call times out.
-    faults.partialPartition(windowStartMicros(kPartitionWindow),
-                            windowStartMicros(kPartitionWindow + 1),
-                            sim::TierKind::kAppServer,
-                            sim::TierKind::kRemoteCache);
-  } else if (arch == core::Architecture::kDisaggregated) {
-    // One-sided reads toward the far-memory pool are lost; the pool itself
-    // is healthy, so only the clients see the outage.
-    faults.partialPartition(windowStartMicros(kPartitionWindow),
-                            windowStartMicros(kPartitionWindow + 1),
-                            sim::TierKind::kAppServer,
-                            sim::TierKind::kFarMemory);
-  } else {
-    // SQL -> KV requests are lost: the miss path (and Base's every read)
-    // stalls while a warm cache shields whatever it already holds.
-    faults.partialPartition(windowStartMicros(kPartitionWindow),
-                            windowStartMicros(kPartitionWindow + 1),
-                            sim::TierKind::kSqlFrontend,
-                            sim::TierKind::kKvStorage);
-  }
-  faults.flakyNode(windowStartMicros(kFlakyWindow),
-                   windowStartMicros(kFlakyWindow + 1), tier, 0,
-                   options.flakyDrop);
-  deployment.installFaultSchedule(std::move(faults));
-
-  const core::ExperimentConfig experiment;  // pricing + utilization defaults
-  const core::CostModel model(experiment.pricing,
-                              experiment.targetUtilization);
-  const double windowSeconds =
-      static_cast<double>(budget.windowOps) / bench::kSyntheticQps;
-
-  CellResult cell;
-  cell.architecture = std::string(core::architectureName(arch));
-  cell.posture = posture;
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    deployment.clearMeters();
-    for (std::uint64_t i = 0; i < budget.windowOps; ++i) serveOne();
-    const core::ServeCounters& c = deployment.counters();
-    WindowRow row;
-    row.p50Micros = deployment.latencies().p50();
-    row.p99Micros = deployment.latencies().p99();
-    const double ops = static_cast<double>(budget.windowOps);
-    row.goodput = (ops - static_cast<double>(c.failedOps)) / ops;
-    row.hitRatio = c.hitRatio();
-    row.degradedReads = c.degradedReads;
-    row.retries = c.retries;
-    row.timeouts = c.timeouts;
-    row.failedOps = c.failedOps;
-    row.breakerShortCircuits = c.breakerShortCircuits;
-    row.ejected = c.ejectedNodes;
-    row.replicaFallbacks = c.replicaFallbackReads;
-    row.staleReplicaReads = c.staleReplicaReads;
-    row.replicaWriteFanout = c.replicaWriteFanout;
-    row.detectionLagMicros = c.detectionLagMicros;
-    row.cost = model
-                   .breakdown(deployment.tiers(), windowSeconds,
-                              deployment.db().totalStoredBytes(),
-                              config.replicationFactor)
-                   .totalCost;
-    cell.windows.push_back(row);
-  }
-  if (const core::HealthMonitor* monitor = deployment.healthMonitor()) {
+  bench::Timeline timeline(bench::withBenchTrace(config), workload, budget);
+  timeline.warmup();
+  timeline.deployment().installFaultSchedule(
+      grayFaults(arch, options, timeline));
+  GrayCell cell{timeline.measure(kWindows)};
+  cell.posture = kPostureNames[static_cast<std::size_t>(posture)];
+  if (const core::HealthMonitor* monitor =
+          timeline.deployment().healthMonitor()) {
     cell.totalEjections = monitor->totalEjections();
     cell.readmissions = monitor->readmissions();
     cell.probesGranted = monitor->probesGranted();
   }
-  if (const obs::Tracer* tracer = deployment.tracer()) {
-    cell.trace = tracer->summary();
-  }
   return cell;
 }
 
-void printCell(const CellResult& cell, const OpBudget& budget) {
+/// Fraction of the window's ops whose client leg answered.
+double goodput(const bench::TimelineWindow& window) {
+  const core::ServeCounters& c = window.counters;
+  const double ops = static_cast<double>(c.reads + c.writes);
+  return (ops - static_cast<double>(c.failedOps)) / ops;
+}
+
+void printCell(const GrayCell& cell, const bench::OpBudget& budget) {
   util::TablePrinter table({"window", "phase", "p50_us", "p99_us", "goodput",
                             "hit_ratio", "degraded", "retries", "timeouts",
                             "failed", "brk_sc", "eject", "fallback", "stale",
                             "fanout", "window_cost"});
   for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-    const WindowRow& row = cell.windows[w];
+    const bench::TimelineWindow& row = cell.windows[w];
+    const core::ServeCounters& c = row.counters;
     table.row(static_cast<unsigned long long>(w), kPhases[w], row.p50Micros,
-              row.p99Micros, row.goodput, row.hitRatio,
-              static_cast<unsigned long long>(row.degradedReads),
-              static_cast<unsigned long long>(row.retries),
-              static_cast<unsigned long long>(row.timeouts),
-              static_cast<unsigned long long>(row.failedOps),
-              static_cast<unsigned long long>(row.breakerShortCircuits),
-              static_cast<unsigned long long>(row.ejected),
-              static_cast<unsigned long long>(row.replicaFallbacks),
-              static_cast<unsigned long long>(row.staleReplicaReads),
-              static_cast<unsigned long long>(row.replicaWriteFanout),
-              row.cost.str());
+              row.p99Micros, goodput(row), c.hitRatio(),
+              static_cast<unsigned long long>(c.degradedReads),
+              static_cast<unsigned long long>(c.retries),
+              static_cast<unsigned long long>(c.timeouts),
+              static_cast<unsigned long long>(c.failedOps),
+              static_cast<unsigned long long>(c.breakerShortCircuits),
+              static_cast<unsigned long long>(c.ejectedNodes),
+              static_cast<unsigned long long>(c.replicaFallbackReads),
+              static_cast<unsigned long long>(c.staleReplicaReads),
+              static_cast<unsigned long long>(c.replicaWriteFanout),
+              row.bill().str());
   }
   char title[160];
   std::snprintf(
       title, sizeof title,
       "\nFigure 11 [%s, defenses=%s]: gray-failure timeline (%lluK-op "
       "windows)",
-      cell.architecture.c_str(),
-      kPostureNames[static_cast<std::size_t>(cell.posture)],
+      cell.architecture.c_str(), cell.posture.c_str(),
       static_cast<unsigned long long>(budget.windowOps / 1000));
   table.print(title);
 }
 
 /// Steady-state reference latency: window 1 (window 0 still carries a
 /// little residual warmup drift in some cells).
-double steadyP99(const CellResult& cell) { return cell.windows[1].p99Micros; }
+double steadyP99(const GrayCell& cell) { return cell.windows[1].p99Micros; }
 
 /// Worst tail across the *slow-node* windows 2-3 only — the headline gray
 /// failure (the partition window is a partial outage, a different story).
-double worstSlowP99(const CellResult& cell) {
+double worstSlowP99(const GrayCell& cell) {
   double worst = 0.0;
   for (std::size_t w = kSlowFrom; w < kSlowUntil && w < cell.windows.size();
        ++w) {
@@ -397,9 +239,11 @@ double worstSlowP99(const CellResult& cell) {
   return worst;
 }
 
-double totalDetectionLagMicros(const CellResult& cell) {
+double totalDetectionLagMicros(const GrayCell& cell) {
   double total = 0.0;
-  for (const WindowRow& row : cell.windows) total += row.detectionLagMicros;
+  for (const bench::TimelineWindow& row : cell.windows) {
+    total += row.counters.detectionLagMicros;
+  }
   return total;
 }
 
@@ -409,22 +253,15 @@ int main(int argc, char** argv) {
   const bench::BenchOptions benchOptions =
       bench::parseBenchOptions(argc, argv);
   const Fig11Options fig11 = parseFig11Options(argc, argv);
-  const core::MatrixOptions& options = benchOptions.matrix;
-  const OpBudget budget = opBudget();
+  const std::uint64_t rootSeed = benchOptions.matrix.rootSeed;
+  const bench::OpBudget budget = bench::opBudget();
 
-  util::ThreadPool pool(options.jobs);
-  const std::vector<core::Architecture> archs =
-      bench::sweepArchitectures(kArchs);
-  const std::size_t cellCount = kPostures * archs.size();
-  const std::vector<CellResult> cells =
-      util::mapOrdered(pool, cellCount,
-                       [&options, &fig11, &budget, &archs](std::size_t i) {
-                         return runGrayCell(i, options.rootSeed, fig11,
-                                            budget, archs);
-                       });
-  pool.wait();
+  const std::vector<GrayCell> cells = bench::runCells(
+      kPostures * kNumArchs, [rootSeed, &fig11, &budget](std::size_t i) {
+        return runGrayCell(i, rootSeed, fig11, budget);
+      });
 
-  for (const CellResult& cell : cells) printCell(cell, budget);
+  for (const GrayCell& cell : cells) printCell(cell, budget);
 
   // The tail-drag verdict: how far the slow node drags p99 off each
   // posture's own steady state. The acceptance story: bare, several-fold;
@@ -432,11 +269,11 @@ int main(int argc, char** argv) {
   util::TablePrinter verdict({"architecture", "p99_steady", "drag_none",
                               "drag_breaker", "drag_full", "ejections",
                               "readmits", "detect_ms"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& none = cells[a];
-    const CellResult& breaker = cells[a + archs.size()];
-    const CellResult& full = cells[a + 2 * archs.size()];
-    const auto drag = [](const CellResult& cell) {
+  for (std::size_t a = 0; a < kNumArchs; ++a) {
+    const GrayCell& none = cells[a];
+    const GrayCell& breaker = cells[a + kNumArchs];
+    const GrayCell& full = cells[a + 2 * kNumArchs];
+    const auto drag = [](const GrayCell& cell) {
       const double steady = steadyP99(cell);
       return steady > 0.0 ? worstSlowP99(cell) / steady : 0.0;
     };
@@ -467,14 +304,14 @@ int main(int argc, char** argv) {
   // bill — the headroom an auto-scaler would provision for — spikes.
   util::TablePrinter nines({"architecture", "steady_bare", "steady_full",
                             "nines_premium", "peak_bare", "bare_headroom"});
-  for (std::size_t a = 0; a < archs.size(); ++a) {
-    const CellResult& none = cells[a];
-    const CellResult& full = cells[a + 2 * archs.size()];
-    const util::Money steadyBare = none.windows[1].cost;
-    const util::Money steadyFull = full.windows[1].cost;
+  for (std::size_t a = 0; a < kNumArchs; ++a) {
+    const GrayCell& none = cells[a];
+    const GrayCell& full = cells[a + 2 * kNumArchs];
+    const util::Money steadyBare = none.windows[1].bill();
+    const util::Money steadyFull = full.windows[1].bill();
     util::Money peakBare = steadyBare;
-    for (const WindowRow& row : none.windows) {
-      if (row.cost.micros() > peakBare.micros()) peakBare = row.cost;
+    for (const bench::TimelineWindow& row : none.windows) {
+      if (row.bill().micros() > peakBare.micros()) peakBare = row.bill();
     }
     const auto deltaPct = [](const util::Money& base,
                              const util::Money& other) {
@@ -496,64 +333,17 @@ int main(int argc, char** argv) {
               "the headroom a bare deployment provisions for its worst "
               "gray window");
 
-  if (benchOptions.trace.enabled()) {
-    // clearMeters resets the tracer per window, so the summary covers the
-    // final (recover) window.
-    for (const CellResult& cell : cells) {
-      core::ExperimentResult result;
-      result.architecture =
-          cell.architecture + "." +
-          kPostureNames[static_cast<std::size_t>(cell.posture)];
-      result.trace = cell.trace;
-      std::printf("\n%s",
-                  core::traceTreeReport(result,
-                                        "trace fig11." + result.architecture +
-                                            " (final window)",
-                                        /*maxTraces=*/1)
-                      .c_str());
-    }
-  }
-  if (!benchOptions.metricsOut.empty()) {
-    obs::MetricsRegistry registry;
-    for (const CellResult& cell : cells) {
-      const std::string prefix =
-          "fig11." + cell.architecture + "." +
-          kPostureNames[static_cast<std::size_t>(cell.posture)] + ".";
-      for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        const WindowRow& row = cell.windows[w];
-        const std::string base = prefix + "window_" + std::to_string(w) + ".";
-        registry.setGauge(base + "p50_us", row.p50Micros);
-        registry.setGauge(base + "p99_us", row.p99Micros);
-        registry.setGauge(base + "goodput", row.goodput);
-        registry.setGauge(base + "hit_ratio", row.hitRatio);
-        registry.setCounter(base + "degraded_reads", row.degradedReads);
-        registry.setCounter(base + "retries", row.retries);
-        registry.setCounter(base + "timeouts", row.timeouts);
-        registry.setCounter(base + "failed_ops", row.failedOps);
-        registry.setCounter(base + "breaker_short_circuits",
-                            row.breakerShortCircuits);
-        registry.setCounter(base + "ejected_nodes", row.ejected);
-        registry.setCounter(base + "replica_fallback_reads",
-                            row.replicaFallbacks);
-        registry.setCounter(base + "stale_replica_reads",
-                            row.staleReplicaReads);
-        registry.setCounter(base + "replica_write_fanout",
-                            row.replicaWriteFanout);
-        registry.setGauge(base + "detection_lag_micros",
-                          row.detectionLagMicros);
-        registry.setGauge(base + "window_cost_usd", row.cost.dollars());
-      }
-      registry.setCounter(prefix + "total_ejections", cell.totalEjections);
-      registry.setCounter(prefix + "readmissions", cell.readmissions);
-      registry.setCounter(prefix + "probes_granted", cell.probesGranted);
-    }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
-  }
-  if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
-  }
+  bench::finishTimeline(
+      "fig11", cells,
+      [](obs::MetricsRegistry& registry, const std::string& prefix,
+         const GrayCell& cell) {
+        for (std::size_t w = 0; w < cell.windows.size(); ++w) {
+          registry.setGauge(bench::windowPrefix(prefix, w) + "goodput",
+                            goodput(cell.windows[w]));
+        }
+        registry.setCounter(prefix + "total_ejections", cell.totalEjections);
+        registry.setCounter(prefix + "readmissions", cell.readmissions);
+        registry.setCounter(prefix + "probes_granted", cell.probesGranted);
+      });
   return 0;
 }

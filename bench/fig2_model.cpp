@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   figure2a(pool);
   figure2b(pool);
   takeaways(pool);
-  if (benchOptions.disagg) disaggPanel(pool);
+  disaggPanel(pool);
   if (!benchOptions.metricsOut.empty()) {
     // Analytic bench: no deployments, so export the model's headline
     // numbers (per-alpha savings) directly.

@@ -17,8 +17,6 @@ using namespace dcache;
 
 namespace {
 
-// Sweep roster: the kDisaggregated tail rides behind the --disagg gate
-// (bench::sweepArchitectures strips it, restoring the original rows).
 constexpr core::Architecture kArchs[] = {core::Architecture::kBase,
                                          core::Architecture::kRemote,
                                          core::Architecture::kLinked,
@@ -26,7 +24,7 @@ constexpr core::Architecture kArchs[] = {core::Architecture::kBase,
 
 template <typename WorkloadT>
 void addPanel(core::ExperimentMatrix& matrix,
-              const std::vector<core::Architecture>& archs,
+              std::span<const core::Architecture> archs,
               const WorkloadT& reference, double qps,
               std::uint64_t operations) {
   core::ExperimentConfig experiment;
@@ -55,8 +53,7 @@ void printPanel(const std::vector<core::ExperimentResult>& results,
 
 int main(int argc, char** argv) {
   core::ExperimentMatrix matrix(bench::parseBenchOptions(argc, argv).matrix);
-  const std::vector<core::Architecture> archs =
-      bench::sweepArchitectures(kArchs);
+  const std::span<const core::Architecture> archs = kArchs;
 
   workload::UcTraceConfig ucConfig;  // paper shape: 23KB median, 93% reads
   addPanel(matrix, archs, workload::UcTraceWorkload(ucConfig), bench::kUcQps,

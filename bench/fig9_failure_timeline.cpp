@@ -26,11 +26,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/cost_model.hpp"
 #include "core/matrix.hpp"
 #include "sim/fault.hpp"
+#include "timeline.hpp"
 #include "util/table_printer.hpp"
-#include "util/thread_pool.hpp"
 #include "workload/synthetic.hpp"
 
 using namespace dcache;
@@ -41,8 +40,8 @@ constexpr core::Architecture kArchs[] = {
     core::Architecture::kBase, core::Architecture::kRemote,
     core::Architecture::kLinked, core::Architecture::kLinkedVersion};
 
-constexpr std::uint64_t kWarmupOps = 120000;
-constexpr std::uint64_t kWindowOps = 30000;
+/// Fixed: fig9 ignores DCACHE_GOLDEN_OPS, so its golden is full scale.
+constexpr bench::OpBudget kBudget{/*warmupOps=*/120000, /*windowOps=*/30000};
 constexpr std::size_t kWindows = 8;
 constexpr std::size_t kCrashWindow = 2;
 constexpr std::size_t kRestartWindow = 5;
@@ -70,121 +69,54 @@ constexpr const char* kPhases[kWindows] = {
   return sim::TierKind::kKvStorage;  // Base: the block cache is the cache
 }
 
-struct WindowRow {
-  double hitRatio = 0.0;
-  std::uint64_t storageReads = 0;
-  double amplification = 1.0;  // storage reads vs steady window 0
-  double p99Micros = 0.0;
-  std::uint64_t retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t failedCalls = 0;
-  std::uint64_t degradedReads = 0;
-  std::uint64_t coalescedMisses = 0;
-  double wastedCpuMicros = 0.0;
-  util::Money cost;  // this window's bill at the monthly rate
-};
-
-struct CellResult {
-  std::string architecture;
-  std::vector<WindowRow> windows;
-  obs::TraceSummary trace;  // final window only (clearMeters resets it)
-};
-
-CellResult runTimelineCell(std::size_t index, std::uint64_t rootSeed) {
+bench::TimelineCell runTimelineCell(std::size_t index,
+                                    std::uint64_t rootSeed) {
   const core::Architecture arch = kArchs[index];
-  core::DeploymentConfig deploymentConfig;
-  deploymentConfig.architecture = arch;
-  deploymentConfig.faultSeed = core::cellSeed(rootSeed, index);
-  deploymentConfig = bench::withBenchTrace(deploymentConfig);
-  core::Deployment deployment(deploymentConfig);
-
+  core::DeploymentConfig config;
+  config.architecture = arch;
+  config.faultSeed = core::cellSeed(rootSeed, index);
   workload::SyntheticWorkload workload{workload::SyntheticConfig{}};
-  deployment.populateKv(workload);
-
-  const double microsPerOp = 1e6 / bench::kSyntheticQps;
-  std::uint64_t opIndex = 0;
-  auto serveOne = [&] {
-    deployment.setSimTimeMicros(static_cast<std::uint64_t>(
-        microsPerOp * static_cast<double>(opIndex)));
-    ++opIndex;
-    deployment.serve(workload.next());
-  };
-  auto windowStartMicros = [&](std::size_t window) {
-    return static_cast<std::uint64_t>(
-        microsPerOp *
-        static_cast<double>(kWarmupOps + window * kWindowOps));
-  };
-
-  for (std::uint64_t i = 0; i < kWarmupOps; ++i) serveOne();
+  bench::Timeline timeline(bench::withBenchTrace(config), workload, kBudget);
+  timeline.warmup();
 
   sim::FaultSchedule faults;
   const sim::TierKind tier = crashTier(arch);
-  faults.crashNode(windowStartMicros(kCrashWindow), tier, 0);
-  faults.restartNode(windowStartMicros(kRestartWindow), tier, 0);
-  faults.degradeNetwork(windowStartMicros(kCrashWindow),
-                        windowStartMicros(kCrashWindow + 1),
+  faults.crashNode(timeline.windowStartMicros(kCrashWindow), tier, 0);
+  faults.restartNode(timeline.windowStartMicros(kRestartWindow), tier, 0);
+  faults.degradeNetwork(timeline.windowStartMicros(kCrashWindow),
+                        timeline.windowStartMicros(kCrashWindow + 1),
                         kDegradeLatencyFactor, kDegradeDropProbability);
-  deployment.installFaultSchedule(std::move(faults));
-
-  const core::ExperimentConfig experiment;  // pricing + utilization defaults
-  const core::CostModel model(experiment.pricing,
-                              experiment.targetUtilization);
-  const double windowSeconds =
-      static_cast<double>(kWindowOps) / bench::kSyntheticQps;
-
-  CellResult cell;
-  cell.architecture = std::string(core::architectureName(arch));
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    deployment.clearMeters();
-    for (std::uint64_t i = 0; i < kWindowOps; ++i) serveOne();
-    const core::ServeCounters& c = deployment.counters();
-    WindowRow row;
-    row.hitRatio = c.hitRatio();
-    row.storageReads = c.storageReads;
-    row.p99Micros = deployment.latencies().p99();
-    row.retries = c.retries;
-    row.timeouts = c.timeouts;
-    row.failedCalls = c.failedCalls;
-    row.degradedReads = c.degradedReads;
-    row.coalescedMisses = c.coalescedMisses;
-    row.wastedCpuMicros = c.wastedCpuMicros;
-    row.cost = model
-                   .breakdown(deployment.tiers(), windowSeconds,
-                              deployment.db().totalStoredBytes(),
-                              deploymentConfig.replicationFactor)
-                   .totalCost;
-    cell.windows.push_back(row);
-  }
-  if (const obs::Tracer* tracer = deployment.tracer()) {
-    cell.trace = tracer->summary();
-  }
-  const double steadyReads =
-      static_cast<double>(cell.windows.front().storageReads);
-  for (WindowRow& row : cell.windows) {
-    row.amplification = steadyReads > 0.0
-                            ? static_cast<double>(row.storageReads) /
-                                  steadyReads
-                            : 1.0;
-  }
-  return cell;
+  timeline.deployment().installFaultSchedule(std::move(faults));
+  return timeline.measure(kWindows);
 }
 
-void printTimeline(const CellResult& cell) {
+/// Storage reads vs the steady window 0.
+double amplification(const bench::TimelineCell& cell, std::size_t w) {
+  const double steadyReads =
+      static_cast<double>(cell.windows.front().counters.storageReads);
+  return steadyReads > 0.0
+             ? static_cast<double>(cell.windows[w].counters.storageReads) /
+                   steadyReads
+             : 1.0;
+}
+
+void printTimeline(const bench::TimelineCell& cell) {
   util::TablePrinter table({"window", "phase", "hit_ratio", "storage_reads",
                             "amp", "p99_us", "retries", "timeouts", "failed",
                             "degraded", "coalesced", "wasted_cpu_us",
                             "window_cost"});
   for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-    const WindowRow& row = cell.windows[w];
-    table.row(static_cast<unsigned long long>(w), kPhases[w], row.hitRatio,
-              static_cast<unsigned long long>(row.storageReads),
-              row.amplification, row.p99Micros,
-              static_cast<unsigned long long>(row.retries),
-              static_cast<unsigned long long>(row.timeouts),
-              static_cast<unsigned long long>(row.failedCalls),
-              static_cast<unsigned long long>(row.degradedReads),
-              static_cast<unsigned long long>(row.coalescedMisses),
-              row.wastedCpuMicros, row.cost.str());
+    const bench::TimelineWindow& row = cell.windows[w];
+    const core::ServeCounters& c = row.counters;
+    table.row(static_cast<unsigned long long>(w), kPhases[w], c.hitRatio(),
+              static_cast<unsigned long long>(c.storageReads),
+              amplification(cell, w), row.p99Micros,
+              static_cast<unsigned long long>(c.retries),
+              static_cast<unsigned long long>(c.timeouts),
+              static_cast<unsigned long long>(c.failedCalls),
+              static_cast<unsigned long long>(c.degradedReads),
+              static_cast<unsigned long long>(c.coalescedMisses),
+              c.wastedCpuMicros, row.bill().str());
   }
   table.print("\nFigure 9 [" + cell.architecture +
               "]: failure timeline (30K-op windows at 120K QPS)");
@@ -195,29 +127,26 @@ void printTimeline(const CellResult& cell) {
 int main(int argc, char** argv) {
   const bench::BenchOptions benchOptions =
       bench::parseBenchOptions(argc, argv);
-  const core::MatrixOptions& options = benchOptions.matrix;
-  util::ThreadPool pool(options.jobs);
-  const std::vector<CellResult> cells = util::mapOrdered(
-      pool, std::size(kArchs),
-      [&options](std::size_t i) {
-        return runTimelineCell(i, options.rootSeed);
+  const std::uint64_t rootSeed = benchOptions.matrix.rootSeed;
+  const std::vector<bench::TimelineCell> cells =
+      bench::runCells(std::size(kArchs), [rootSeed](std::size_t i) {
+        return runTimelineCell(i, rootSeed);
       });
-  pool.wait();
 
-  for (const CellResult& cell : cells) printTimeline(cell);
+  for (const bench::TimelineCell& cell : cells) printTimeline(cell);
 
   // Provisioned-cost headroom: if the platform provisions for the worst
   // window instead of steady state (auto-scalers trigger on CPU), this is
   // the premium each architecture pays for its failure mode.
   util::TablePrinter summary({"architecture", "steady_cost", "peak_cost",
                               "peak_phase", "headroom_delta"});
-  for (const CellResult& cell : cells) {
-    const util::Money steady = cell.windows.front().cost;
+  for (const bench::TimelineCell& cell : cells) {
+    const util::Money steady = cell.windows.front().bill();
     util::Money peak = steady;
     std::size_t peakWindow = 0;
     for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-      if (cell.windows[w].cost.micros() > peak.micros()) {
-        peak = cell.windows[w].cost;
+      if (cell.windows[w].bill().micros() > peak.micros()) {
+        peak = cell.windows[w].bill();
         peakWindow = w;
       }
     }
@@ -234,48 +163,14 @@ int main(int argc, char** argv) {
   }
   summary.print("\nFigure 9 summary: provisioning for the worst window "
                 "(peak vs steady headroom)");
-  if (benchOptions.trace.enabled()) {
-    // clearMeters resets the tracer per window, so the summary covers the
-    // final (rewarm) window — the interesting recovery-path spans.
-    for (const CellResult& cell : cells) {
-      core::ExperimentResult result;
-      result.architecture = cell.architecture;
-      result.trace = cell.trace;
-      std::printf("\n%s",
-                  core::traceTreeReport(result,
-                                        "trace fig9." + cell.architecture +
-                                            " (final window)",
-                                        /*maxTraces=*/1)
-                      .c_str());
-    }
-  }
-  if (!benchOptions.metricsOut.empty()) {
-    // Windowed bench: export the per-window timeline instead of the usual
-    // per-cell experiment snapshot.
-    obs::MetricsRegistry registry;
-    for (const CellResult& cell : cells) {
-      for (std::size_t w = 0; w < cell.windows.size(); ++w) {
-        const WindowRow& row = cell.windows[w];
-        const std::string base = "fig9." + cell.architecture + ".window_" +
-                                 std::to_string(w) + ".";
-        registry.setGauge(base + "hit_ratio", row.hitRatio);
-        registry.setCounter(base + "storage_reads", row.storageReads);
-        registry.setGauge(base + "amplification", row.amplification);
-        registry.setGauge(base + "p99_us", row.p99Micros);
-        registry.setCounter(base + "retries", row.retries);
-        registry.setCounter(base + "timeouts", row.timeouts);
-        registry.setCounter(base + "degraded_reads", row.degradedReads);
-        registry.setGauge(base + "wasted_cpu_micros", row.wastedCpuMicros);
-        registry.setGauge(base + "window_cost_usd", row.cost.dollars());
-      }
-    }
-    if (!registry.writeJsonFile(benchOptions.metricsOut)) {
-      std::fprintf(stderr, "warning: could not write metrics to %s\n",
-                   benchOptions.metricsOut.c_str());
-    }
-  }
-  if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
-  }
+  bench::finishTimeline(
+      "fig9", cells,
+      [](obs::MetricsRegistry& registry, const std::string& prefix,
+         const bench::TimelineCell& cell) {
+        for (std::size_t w = 0; w < cell.windows.size(); ++w) {
+          registry.setGauge(bench::windowPrefix(prefix, w) + "amplification",
+                            amplification(cell, w));
+        }
+      });
   return 0;
 }

@@ -1,6 +1,6 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the cache library: per-operation costs of the
-// eviction policies, sharding, consistent hashing, Zipf sampling and the
+// eviction policies, consistent hashing, Zipf sampling and the
 // Mattson profiler — the structures every simulated request crosses.
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "cache/hash_ring.hpp"
 #include "cache/kv_cache.hpp"
 #include "cache/mrc.hpp"
-#include "cache/sharded.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 #include "workload/zipf.hpp"
@@ -94,21 +93,6 @@ void BM_PolicyColdFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PolicyColdFill)
     ->ArgsProduct({{0, 1, 2, 3}, {1, 2}});
-
-void BM_ShardedGet(benchmark::State& state) {
-  cache::ShardedCache cache(util::Bytes::mb(64),
-                            static_cast<std::size_t>(state.range(0)));
-  const auto keys = makeKeys(10000);
-  for (const auto& key : keys) {
-    cache.put(key, cache::CacheEntry::sized(100));
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get(keys[i]));
-    i = (i + 7919) % keys.size();
-  }
-}
-BENCHMARK(BM_ShardedGet)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_HashRingOwner(benchmark::State& state) {
   cache::HashRing ring;

@@ -34,6 +34,16 @@ constexpr std::uint64_t kShedResponseBytes = 16;
 
 }  // namespace
 
+std::vector<std::string_view> differingCounters(const ServeCounters& a,
+                                                const ServeCounters& b) {
+  std::vector<std::string_view> names;
+#define DCACHE_COMPARE(type, name) \
+  if (a.name != b.name) names.push_back(#name);
+  DCACHE_SERVE_COUNTERS(DCACHE_COMPARE)
+#undef DCACHE_COMPARE
+  return names;
+}
+
 Deployment::Deployment(DeploymentConfig config) : config_(config) {
   const Calibration& cal = config_.calibration;
   network_ = sim::NetworkModel(cal.network);
@@ -1020,12 +1030,9 @@ void Deployment::advanceMembership() {
 
 void Deployment::syncMembershipCounters() noexcept {
   const MembershipCounters& mc = membership_->counters();
-  counters_.plannedJoins = mc.plannedJoins;
-  counters_.plannedLeaves = mc.plannedLeaves;
-  counters_.migratedKeys = mc.migratedKeys;
-  counters_.migratedBytes = mc.migratedBytes;
-  counters_.handoffFallbackReads = mc.handoffFallbackReads;
-  counters_.epochFences = mc.epochFences;
+#define DCACHE_MIRROR(type, name) counters_.name = mc.name;
+  DCACHE_MEMBERSHIP_COUNTERS(DCACHE_MIRROR)
+#undef DCACHE_MIRROR
 }
 
 void Deployment::installFaultSchedule(sim::FaultSchedule schedule) {
@@ -1193,18 +1200,10 @@ void Deployment::applyFault(const sim::FaultEvent& event) {
 }
 
 void Deployment::syncFaultCounters() noexcept {
-  const auto& fc = channel_->faultCounters();
-  counters_.retries = fc.retries;
-  counters_.timeouts = fc.timeouts;
-  counters_.failedCalls = fc.failedCalls;
-  counters_.wastedCpuMicros = fc.wastedCpuMicros;
-  counters_.budgetExhausted = fc.budgetExhausted;
-  counters_.queueTimeouts = fc.queueTimeouts;
-  counters_.queueRejections = fc.queueRejections;
-  counters_.breakerOpens = fc.breakerOpens;
-  counters_.breakerShortCircuits = fc.breakerShortCircuits;
-  counters_.hedgesSent = fc.hedgesSent;
-  counters_.hedgeWins = fc.hedgeWins;
+  const rpc::Channel::FaultCounters& fc = channel_->faultCounters();
+#define DCACHE_MIRROR(type, name) counters_.name = fc.name;
+  DCACHE_RPC_FAULT_COUNTERS(DCACHE_MIRROR)
+#undef DCACHE_MIRROR
   if (monitor_) {
     // Consume new ejections incrementally so clearMeters() gives windowed
     // counts (the cursor survives the clear; the counters don't).

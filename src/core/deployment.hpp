@@ -9,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +32,7 @@
 #include "sim/network.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
+#include "util/counter_list.hpp"
 #include "util/histogram.hpp"
 #include "workload/uc_trace.hpp"
 #include "workload/workload.hpp"
@@ -110,87 +112,58 @@ struct DeploymentConfig {
   Calibration calibration{};
 };
 
+/// Every serve counter, one X(type, name) per line (util/counter_list.hpp).
+/// This list is the single definition of ServeCounters: its fields, the
+/// snake_case metric export (exportServeCounters in core/report.hpp), the
+/// all-field comparison (differingCounters) and the timeline benches'
+/// per-window metrics are all generated from it. A new counter is one line
+/// here plus the code that increments it. The fault and membership
+/// sub-lists are mirrored wholesale from rpc::Channel and
+/// core::MembershipDirector.
+///
+/// Notes the one-line comments cannot hold:
+///  - storageReads (cache misses + Base-path reads) is the numerator of the
+///    benches' storage-amplification columns.
+///  - failedOps counts ops whose client leg failed: the client never got an
+///    answer (unlike sheddedRequests, where it got a fast error).
+///  - staleReplicaReads counts fallback hits whose version trails storage:
+///    the anomaly a fallback read risks (served anyway; counted, not fixed).
+///  - detectionLagMicros sums, over ejections, ejection time minus the
+///    gray-fault onset: how long the detector let each failure drag.
+///  - farMemoryBytes is slot header + value on a hit, header-sized on a
+///    miss and 0 on a failed access.
+#define DCACHE_SERVE_COUNTERS(X)                                             \
+  X(std::uint64_t, reads)                                                    \
+  X(std::uint64_t, writes)                                                   \
+  X(std::uint64_t, cacheHits)                                                \
+  X(std::uint64_t, cacheMisses)                                              \
+  X(std::uint64_t, versionChecks)                                            \
+  X(std::uint64_t, versionMismatches)                                        \
+  X(std::uint64_t, statementsIssued)                                         \
+  X(std::uint64_t, ttlExpirations)                                           \
+  X(std::uint64_t, storageReads)   /* read-path storage round trips */       \
+  /* Fault path: zero unless faults, overload or health are armed. */        \
+  DCACHE_RPC_FAULT_COUNTERS(X)                                               \
+  X(std::uint64_t, degradedReads)  /* cache unreachable -> storage path */   \
+  X(std::uint64_t, coalescedMisses) /* misses joining an in-flight read */   \
+  X(std::uint64_t, sheddedRequests) /* turned away by admission control */   \
+  X(std::uint64_t, failedOps)      /* client leg ultimately failed */        \
+  /* Gray failures: zero unless health monitoring or replication is on. */   \
+  X(std::uint64_t, ejectedNodes)   /* transitions into the ejected state */  \
+  X(std::uint64_t, replicaFallbackReads) /* from a non-primary replica */    \
+  X(std::uint64_t, staleReplicaReads) /* fallback hits trailing storage */   \
+  X(std::uint64_t, replicaWriteFanout) /* replica copies beyond the first */ \
+  X(double, detectionLagMicros)    /* sum of ejection - gray-fault onset */  \
+  /* Disaggregated path: zero unless the architecture is kDisaggregated. */  \
+  X(std::uint64_t, farMemoryReads) /* one-sided reads (at most one/serve) */ \
+  X(std::uint64_t, farMemoryBytes) /* bytes those reads pulled */            \
+  X(std::uint64_t, hotCacheHits)   /* hot-front hits, within cacheHits */    \
+  X(std::uint64_t, clientInvalidations) /* writer-fanned hot-cache drops */  \
+  /* Membership churn: zero unless a MembershipSchedule is installed. */     \
+  DCACHE_MEMBERSHIP_COUNTERS(X)
+
 struct ServeCounters {
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t cacheHits = 0;
-  std::uint64_t cacheMisses = 0;
-  std::uint64_t versionChecks = 0;
-  std::uint64_t versionMismatches = 0;
-  std::uint64_t statementsIssued = 0;
-  std::uint64_t ttlExpirations = 0;
-  /// Read-path storage round trips (cache misses + Base-path reads) — the
-  /// numerator of the failure bench's storage-QPS-amplification column.
-  std::uint64_t storageReads = 0;
-
-  // Fault-path accounting (all zero unless a FaultSchedule is installed).
-  std::uint64_t retries = 0;      // extra RPC attempts beyond the first
-  std::uint64_t timeouts = 0;     // RPC legs that waited out their timeout
-  std::uint64_t failedCalls = 0;  // RPCs that exhausted their retry budget
-  std::uint64_t degradedReads = 0;    // cache unreachable -> storage path
-  std::uint64_t coalescedMisses = 0;  // misses that joined an in-flight read
-  double wastedCpuMicros = 0.0;  // CPU charged to legs that never paid off
-
-  // Overload-path accounting (all zero unless OverloadConfig is enabled).
-  std::uint64_t sheddedRequests = 0;  // turned away by admission control
-  std::uint64_t queueTimeouts = 0;    // attempts outwaited by a backlog
-  std::uint64_t queueRejections = 0;  // bounced off a full bounded queue
-  std::uint64_t breakerOpens = 0;     // circuit-breaker trips (into open)
-  std::uint64_t breakerShortCircuits = 0;  // calls failed fast while open
-  std::uint64_t hedgesSent = 0;       // backup attempts fired
-  std::uint64_t hedgeWins = 0;        // hedges whose answer landed first
-  std::uint64_t budgetExhausted = 0;  // calls stopped by the deadline budget
-  /// Operations whose client leg ultimately failed — the client never got
-  /// an answer (distinct from sheddedRequests, where it got a fast error).
-  std::uint64_t failedOps = 0;
-
-  // Gray-failure accounting (all zero unless health monitoring and/or
-  // cache replication is enabled).
-  std::uint64_t ejectedNodes = 0;  // transitions into the ejected state
-  /// Reads served by a non-primary replica because the primary was down,
-  /// ejected or failing.
-  std::uint64_t replicaFallbackReads = 0;
-  /// Replica hits whose version trails storage — the consistency anomaly a
-  /// fallback read risks (served anyway; this counts, it doesn't fix).
-  std::uint64_t staleReplicaReads = 0;
-  /// Extra replica copies written beyond the first (fan-out cost of
-  /// write-all replication).
-  std::uint64_t replicaWriteFanout = 0;
-  /// Sum over ejections of (ejection time - gray-fault onset): how long
-  /// the detector let each injected gray failure drag the tail.
-  double detectionLagMicros = 0.0;
-
-  // Disaggregated-path accounting (all zero unless the architecture is
-  // kDisaggregated).
-  /// One-sided reads posted against the far-memory pool (at most one per
-  /// serve — the hot cache absorbs the rest).
-  std::uint64_t farMemoryReads = 0;
-  /// Bytes those one-sided reads actually pulled across the fabric
-  /// (slot header + value on a hit; header-sized on a miss; 0 on a
-  /// failed access).
-  std::uint64_t farMemoryBytes = 0;
-  /// Reads answered by the app server's in-process hot cache without
-  /// touching far memory (a subset of cacheHits).
-  std::uint64_t hotCacheHits = 0;
-  /// DiFache-style decentralized invalidations delivered: writer-fanned
-  /// hot-cache drops received by peer app servers (no coordinator hop).
-  std::uint64_t clientInvalidations = 0;
-
-  // Membership-churn accounting (all zero unless a MembershipSchedule is
-  // installed; mirrored from core::MembershipCounters).
-  std::uint64_t plannedJoins = 0;   // join events applied
-  std::uint64_t plannedLeaves = 0;  // graceful-leave events applied
-  /// Keys moved to their new owner by the background handoff pump.
-  std::uint64_t migratedKeys = 0;
-  /// Value bytes those migrations pushed across the wire.
-  std::uint64_t migratedBytes = 0;
-  /// New-owner misses served by reading the old owner during a transfer
-  /// window (the dual-read rescue; each one is a storage read avoided).
-  std::uint64_t handoffFallbackReads = 0;
-  /// Epoch-fencing actions: ownership transitions plus stale copies fenced
-  /// (migration skipped for a fresher new-owner version, or an old-owner
-  /// copy erased because a write landed mid-window).
-  std::uint64_t epochFences = 0;
+  DCACHE_SERVE_COUNTERS(DCACHE_COUNTER_FIELD)
 
   [[nodiscard]] double hitRatio() const noexcept {
     const std::uint64_t n = cacheHits + cacheMisses;
@@ -198,6 +171,12 @@ struct ServeCounters {
   }
   void clear() noexcept { *this = ServeCounters{}; }
 };
+
+/// Names of the counters on which `a` and `b` differ, in list order; empty
+/// when every field is equal (doubles compare exactly — replays are
+/// bit-deterministic).
+[[nodiscard]] std::vector<std::string_view> differingCounters(
+    const ServeCounters& a, const ServeCounters& b);
 
 class Deployment {
  public:

@@ -38,6 +38,7 @@
 #include "cache/remote_cache.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
+#include "util/counter_list.hpp"
 
 namespace dcache::core {
 
@@ -116,23 +117,23 @@ struct HandoffConfig {
   std::uint64_t batchIntervalMicros = 2'000;
 };
 
-/// The six churn counters, mirrored into ServeCounters by the deployment.
+/// The churn counters, mirrored one-to-one into ServeCounters by the
+/// deployment (see util/counter_list.hpp for the X(type, name) form).
+/// Dual-read rescues count under handoffFallbackReads, not migratedKeys.
+/// epochFences counts one per cache-ownership transition (epoch bump), plus
+/// one per stale copy fenced: a migration skipped because the new owner
+/// already held a fresher version, or an old-owner copy erased because a
+/// write landed during the window.
+#define DCACHE_MEMBERSHIP_COUNTERS(X)                                        \
+  X(std::uint64_t, plannedJoins)   /* join events applied */                 \
+  X(std::uint64_t, plannedLeaves)  /* graceful-leave events applied */       \
+  X(std::uint64_t, migratedKeys)   /* keys moved by the background pump */   \
+  X(std::uint64_t, migratedBytes)  /* value bytes those migrations moved */  \
+  X(std::uint64_t, handoffFallbackReads) /* old-owner dual-read rescues */   \
+  X(std::uint64_t, epochFences)    /* ownership transitions + stale fences */
+
 struct MembershipCounters {
-  std::uint64_t plannedJoins = 0;
-  std::uint64_t plannedLeaves = 0;
-  /// Keys moved to their new owner by the background pump (dual-read
-  /// rescues are counted separately, under handoffFallbackReads).
-  std::uint64_t migratedKeys = 0;
-  /// Value bytes those migrations pushed across the wire.
-  std::uint64_t migratedBytes = 0;
-  /// Misses at the new owner served by reading the old owner during the
-  /// transfer window (at most one per read).
-  std::uint64_t handoffFallbackReads = 0;
-  /// Fencing actions: one per cache-ownership transition (epoch bump),
-  /// plus one per stale copy fenced — a migration skipped because the new
-  /// owner already held a fresher version, or an old-owner copy erased
-  /// because a write landed during the window.
-  std::uint64_t epochFences = 0;
+  DCACHE_MEMBERSHIP_COUNTERS(DCACHE_COUNTER_FIELD)
 
   void clear() noexcept { *this = MembershipCounters{}; }
 };

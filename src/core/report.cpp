@@ -172,54 +172,49 @@ std::string traceTreeReport(const ExperimentResult& result,
   return out;
 }
 
+namespace {
+
+/// camelCase field name -> snake_case metric key ("cacheHits" ->
+/// "cache_hits").
+std::string snakeCase(std::string_view camel) {
+  std::string out;
+  for (const char c : camel) {
+    if (c >= 'A' && c <= 'Z') {
+      out.push_back('_');
+      out.push_back(static_cast<char>(c - 'A' + 'a'));
+    } else {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+void exportValue(obs::MetricsRegistry& registry, const std::string& name,
+                 std::uint64_t value) {
+  registry.setCounter(name, value);
+}
+void exportValue(obs::MetricsRegistry& registry, const std::string& name,
+                 double value) {
+  registry.setGauge(name, value);
+}
+
+}  // namespace
+
+void exportServeCounters(obs::MetricsRegistry& registry,
+                         std::string_view prefix, const ServeCounters& c) {
+  const std::string base(prefix);
+#define DCACHE_EXPORT(type, name) \
+  exportValue(registry, base + snakeCase(#name), c.name);
+  DCACHE_SERVE_COUNTERS(DCACHE_EXPORT)
+#undef DCACHE_EXPORT
+  registry.setGauge(base + "hit_ratio", c.hitRatio());
+}
+
 void exportExperimentMetrics(obs::MetricsRegistry& registry,
                              std::string_view prefix,
                              const ExperimentResult& result) {
   const std::string base(prefix);
-  const ServeCounters& c = result.counters;
-  registry.setCounter(base + "reads", c.reads);
-  registry.setCounter(base + "writes", c.writes);
-  registry.setCounter(base + "cache_hits", c.cacheHits);
-  registry.setCounter(base + "cache_misses", c.cacheMisses);
-  registry.setCounter(base + "version_checks", c.versionChecks);
-  registry.setCounter(base + "version_mismatches", c.versionMismatches);
-  registry.setCounter(base + "statements_issued", c.statementsIssued);
-  registry.setCounter(base + "ttl_expirations", c.ttlExpirations);
-  registry.setCounter(base + "storage_reads", c.storageReads);
-  registry.setCounter(base + "retries", c.retries);
-  registry.setCounter(base + "timeouts", c.timeouts);
-  registry.setCounter(base + "failed_calls", c.failedCalls);
-  registry.setCounter(base + "degraded_reads", c.degradedReads);
-  registry.setCounter(base + "coalesced_misses", c.coalescedMisses);
-  registry.setGauge(base + "wasted_cpu_micros", c.wastedCpuMicros);
-  registry.setGauge(base + "hit_ratio", c.hitRatio());
-  registry.setCounter(base + "shedded_requests", c.sheddedRequests);
-  registry.setCounter(base + "queue_timeouts", c.queueTimeouts);
-  registry.setCounter(base + "queue_rejections", c.queueRejections);
-  registry.setCounter(base + "breaker_opens", c.breakerOpens);
-  registry.setCounter(base + "breaker_short_circuits",
-                      c.breakerShortCircuits);
-  registry.setCounter(base + "hedges_sent", c.hedgesSent);
-  registry.setCounter(base + "hedge_wins", c.hedgeWins);
-  registry.setCounter(base + "budget_exhausted", c.budgetExhausted);
-  registry.setCounter(base + "failed_ops", c.failedOps);
-  registry.setCounter(base + "ejected_nodes", c.ejectedNodes);
-  registry.setCounter(base + "replica_fallback_reads",
-                      c.replicaFallbackReads);
-  registry.setCounter(base + "stale_replica_reads", c.staleReplicaReads);
-  registry.setCounter(base + "replica_write_fanout", c.replicaWriteFanout);
-  registry.setGauge(base + "detection_lag_micros", c.detectionLagMicros);
-  registry.setCounter(base + "far_memory_reads", c.farMemoryReads);
-  registry.setCounter(base + "far_memory_bytes", c.farMemoryBytes);
-  registry.setCounter(base + "hot_cache_hits", c.hotCacheHits);
-  registry.setCounter(base + "client_invalidations", c.clientInvalidations);
-  registry.setCounter(base + "planned_joins", c.plannedJoins);
-  registry.setCounter(base + "planned_leaves", c.plannedLeaves);
-  registry.setCounter(base + "migrated_keys", c.migratedKeys);
-  registry.setCounter(base + "migrated_bytes", c.migratedBytes);
-  registry.setCounter(base + "handoff_fallback_reads",
-                      c.handoffFallbackReads);
-  registry.setCounter(base + "epoch_fences", c.epochFences);
+  exportServeCounters(registry, base, result.counters);
 
   registry.setGauge(base + "cost.compute_usd", result.cost.computeCost.dollars());
   registry.setGauge(base + "cost.memory_usd", result.cost.memoryCost.dollars());

@@ -42,6 +42,12 @@ namespace dcache::core {
                                           const std::string& title,
                                           std::size_t maxTraces = 2);
 
+/// Adapter: publish every ServeCounters field under `prefix` + its
+/// snake_case name (integers as counters, doubles as gauges), generated from
+/// DCACHE_SERVE_COUNTERS, plus the derived `hit_ratio` gauge.
+void exportServeCounters(obs::MetricsRegistry& registry,
+                         std::string_view prefix, const ServeCounters& c);
+
 /// Adapter: publish one experiment cell's results — serve counters, cost,
 /// latency summary, per-tier CPU/memory usage, and trace aggregates when
 /// present — into the unified registry under `prefix` (e.g. "fig4.Linked.").

@@ -1,8 +1,8 @@
 // Unified metrics registry: a named, typed, insertion-ordered collection of
 // counters, gauges and histogram summaries with a stable JSON export. The
-// hand-rolled counter structs (core::ServeCounters, rpc::FaultCounters, the
-// tier meters) stay as the hot-path storage; thin adapters re-publish them
-// here by name, so every figure bench can emit one machine-readable
+// hand-rolled counter structs (core::ServeCounters and the tier meters)
+// stay as the hot-path storage; thin adapters re-publish them here by
+// name, so every figure bench can emit one machine-readable
 // metrics file (--metrics-out) alongside its human-readable tables.
 #pragma once
 

@@ -16,18 +16,30 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 #include <unordered_map>
 
 #include "rpc/serialization_model.hpp"
 #include "sim/network.hpp"
 #include "sim/node.hpp"
+#include "util/counter_list.hpp"
 #include "util/histogram.hpp"
 #include "util/rng.hpp"
 
-namespace dcache::obs {
-class MetricsRegistry;
-}
+/// The channel's fault-path counters, mirrored one-to-one into
+/// core::ServeCounters (see util/counter_list.hpp for the X(type, name)
+/// form). The overload entries stay zero unless the defenses are armed.
+#define DCACHE_RPC_FAULT_COUNTERS(X)                                         \
+  X(std::uint64_t, retries)         /* extra attempts beyond the first */    \
+  X(std::uint64_t, timeouts)        /* legs that waited out the timeout */   \
+  X(std::uint64_t, failedCalls)     /* calls that exhausted their budget */  \
+  X(double, wastedCpuMicros)        /* CPU on legs that never paid off */    \
+  X(std::uint64_t, budgetExhausted) /* calls stopped by deadlineMicros */    \
+  X(std::uint64_t, queueTimeouts)   /* attempts outwaited by the backlog */  \
+  X(std::uint64_t, queueRejections) /* bounced off a full bounded queue */   \
+  X(std::uint64_t, breakerOpens)    /* transitions into open */              \
+  X(std::uint64_t, breakerShortCircuits) /* calls failed fast while open */  \
+  X(std::uint64_t, hedgesSent)      /* backup attempts fired */              \
+  X(std::uint64_t, hedgeWins)       /* hedges whose answer landed first */
 
 namespace dcache::rpc {
 
@@ -297,20 +309,10 @@ class Channel {
   /// Current hedge-fire threshold for a destination tier.
   [[nodiscard]] double hedgeDelayMicros(sim::TierKind tier) const noexcept;
 
-  /// Cumulative fault-path accounting (cleared by clearFaultCounters).
+  /// Cumulative fault-path accounting (cleared by clearFaultCounters);
+  /// fields come from DCACHE_RPC_FAULT_COUNTERS.
   struct FaultCounters {
-    std::uint64_t retries = 0;      // extra attempts beyond the first
-    std::uint64_t timeouts = 0;     // legs that waited out the timeout
-    std::uint64_t failedCalls = 0;  // calls that exhausted their budget
-    double wastedCpuMicros = 0.0;   // CPU spent on legs that never paid off
-    // Overload-path accounting (zero unless the defenses are armed).
-    std::uint64_t budgetExhausted = 0;  // calls stopped by deadlineMicros
-    std::uint64_t queueTimeouts = 0;    // attempts outwaited by the backlog
-    std::uint64_t queueRejections = 0;  // bounced off a full bounded queue
-    std::uint64_t breakerOpens = 0;     // transitions into open
-    std::uint64_t breakerShortCircuits = 0;  // calls failed fast while open
-    std::uint64_t hedgesSent = 0;  // backup attempts fired
-    std::uint64_t hedgeWins = 0;   // hedges whose answer landed first
+    DCACHE_RPC_FAULT_COUNTERS(DCACHE_COUNTER_FIELD)
   };
   [[nodiscard]] const FaultCounters& faultCounters() const noexcept {
     return faultCounters_;
@@ -397,12 +399,5 @@ class Channel {
   std::array<util::Histogram, static_cast<std::size_t>(sim::TierKind::kCount)>
       hedgeLatency_;
 };
-
-/// Thin metrics adapter: publish the channel's fault counters under
-/// `prefix` (e.g. "cell0.rpc.") in the unified registry, replacing ad-hoc
-/// printf plumbing in the benches.
-void exportFaultMetrics(obs::MetricsRegistry& registry,
-                        std::string_view prefix,
-                        const Channel::FaultCounters& counters);
 
 }  // namespace dcache::rpc

@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/deployment.hpp"
@@ -252,52 +253,12 @@ ChaosOutcome runChaosTrial(std::uint64_t seed) {
 }
 
 /// Field-complete determinism check: every ServeCounters field must replay
-/// bit-for-bit. Listing each field here (rather than memcmp) keeps the
-/// assertion readable *and* is what the dcache-lint counter-registration
-/// rule pins: a new counter that is not added to this conservation test
-/// fails the lint lane.
+/// bit-for-bit. core::differingCounters is generated from the counter list,
+/// so a new counter is covered here without an edit, and a failure names
+/// the fields that diverged.
 void expectCountersEqual(const core::ServeCounters& a,
                          const core::ServeCounters& b) {
-  EXPECT_EQ(a.reads, b.reads);
-  EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.cacheHits, b.cacheHits);
-  EXPECT_EQ(a.cacheMisses, b.cacheMisses);
-  EXPECT_EQ(a.versionChecks, b.versionChecks);
-  EXPECT_EQ(a.versionMismatches, b.versionMismatches);
-  EXPECT_EQ(a.statementsIssued, b.statementsIssued);
-  EXPECT_EQ(a.ttlExpirations, b.ttlExpirations);
-  EXPECT_EQ(a.storageReads, b.storageReads);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.timeouts, b.timeouts);
-  EXPECT_EQ(a.failedCalls, b.failedCalls);
-  EXPECT_EQ(a.degradedReads, b.degradedReads);
-  EXPECT_EQ(a.coalescedMisses, b.coalescedMisses);
-  // Exact double equality: determinism means bit-for-bit, not "close".
-  EXPECT_EQ(a.wastedCpuMicros, b.wastedCpuMicros);
-  EXPECT_EQ(a.sheddedRequests, b.sheddedRequests);
-  EXPECT_EQ(a.queueTimeouts, b.queueTimeouts);
-  EXPECT_EQ(a.queueRejections, b.queueRejections);
-  EXPECT_EQ(a.breakerOpens, b.breakerOpens);
-  EXPECT_EQ(a.breakerShortCircuits, b.breakerShortCircuits);
-  EXPECT_EQ(a.hedgesSent, b.hedgesSent);
-  EXPECT_EQ(a.hedgeWins, b.hedgeWins);
-  EXPECT_EQ(a.budgetExhausted, b.budgetExhausted);
-  EXPECT_EQ(a.failedOps, b.failedOps);
-  EXPECT_EQ(a.ejectedNodes, b.ejectedNodes);
-  EXPECT_EQ(a.replicaFallbackReads, b.replicaFallbackReads);
-  EXPECT_EQ(a.staleReplicaReads, b.staleReplicaReads);
-  EXPECT_EQ(a.replicaWriteFanout, b.replicaWriteFanout);
-  EXPECT_EQ(a.detectionLagMicros, b.detectionLagMicros);
-  EXPECT_EQ(a.farMemoryReads, b.farMemoryReads);
-  EXPECT_EQ(a.farMemoryBytes, b.farMemoryBytes);
-  EXPECT_EQ(a.hotCacheHits, b.hotCacheHits);
-  EXPECT_EQ(a.clientInvalidations, b.clientInvalidations);
-  EXPECT_EQ(a.plannedJoins, b.plannedJoins);
-  EXPECT_EQ(a.plannedLeaves, b.plannedLeaves);
-  EXPECT_EQ(a.migratedKeys, b.migratedKeys);
-  EXPECT_EQ(a.migratedBytes, b.migratedBytes);
-  EXPECT_EQ(a.handoffFallbackReads, b.handoffFallbackReads);
-  EXPECT_EQ(a.epochFences, b.epochFences);
+  EXPECT_EQ(core::differingCounters(a, b), std::vector<std::string_view>{});
 }
 
 void checkInvariants(const ChaosOutcome& outcome, std::uint64_t seed) {

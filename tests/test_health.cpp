@@ -6,6 +6,9 @@
 // whole timeline replays byte-for-byte from the same seed.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "core/deployment.hpp"
 #include "core/health.hpp"
 #include "rpc/channel.hpp"
@@ -372,15 +375,7 @@ TEST(DeploymentHealth, GrayTimelineReplaysByteForByte) {
   };
   const core::ServeCounters a = run();
   const core::ServeCounters b = run();
-  EXPECT_EQ(a.cacheHits, b.cacheHits);
-  EXPECT_EQ(a.ejectedNodes, b.ejectedNodes);
-  EXPECT_EQ(a.replicaFallbackReads, b.replicaFallbackReads);
-  EXPECT_EQ(a.staleReplicaReads, b.staleReplicaReads);
-  EXPECT_EQ(a.replicaWriteFanout, b.replicaWriteFanout);
-  EXPECT_EQ(a.failedCalls, b.failedCalls);
-  EXPECT_EQ(a.degradedReads, b.degradedReads);
-  EXPECT_DOUBLE_EQ(a.detectionLagMicros, b.detectionLagMicros);
-  EXPECT_DOUBLE_EQ(a.wastedCpuMicros, b.wastedCpuMicros);
+  EXPECT_EQ(core::differingCounters(a, b), std::vector<std::string_view>{});
 }
 
 TEST(DeploymentHealth, PartialPartitionIsAsymmetric) {

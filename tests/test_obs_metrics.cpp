@@ -2,16 +2,62 @@
 // adapter, and the file export the benches use for --metrics-out.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <vector>
 
+#include "core/deployment.hpp"
+#include "core/experiment.hpp"
+#include "core/report.hpp"
 #include "obs/metrics.hpp"
 #include "util/histogram.hpp"
 
 namespace dcache {
 namespace {
+
+/// The metric-key convention, written out independently of the exporter.
+std::string snakeCase(std::string_view camel) {
+  std::string out;
+  for (const char c : camel) {
+    if (std::isupper(static_cast<unsigned char>(c))) {
+      out += '_';
+      out += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+/// One counter of the list, set alone to `value`: the export must publish it
+/// under its snake_case key with that value (a counter for integers, a
+/// gauge for doubles), and the equality helper must name it and only it.
+template <typename T>
+void checkListedCounter(std::string_view name, T core::ServeCounters::*field,
+                        T value) {
+  SCOPED_TRACE(std::string(name));
+  core::ExperimentResult result;
+  result.counters.*field = value;
+  obs::MetricsRegistry registry;
+  core::exportExperimentMetrics(registry, "cell.", result);
+  const obs::MetricsRegistry::Metric* metric =
+      registry.find("cell." + snakeCase(name));
+  ASSERT_NE(metric, nullptr);
+  if constexpr (std::is_same_v<T, double>) {
+    EXPECT_EQ(metric->kind, obs::MetricsRegistry::Kind::kGauge);
+    EXPECT_EQ(metric->gauge, value);
+  } else {
+    EXPECT_EQ(metric->kind, obs::MetricsRegistry::Kind::kCounter);
+    EXPECT_EQ(metric->counter, value);
+  }
+  EXPECT_EQ(core::differingCounters(core::ServeCounters{}, result.counters),
+            std::vector<std::string_view>{name});
+}
 
 TEST(MetricsRegistry, UpsertsByNameAndKeepsInsertionOrder) {
   obs::MetricsRegistry registry;
@@ -107,6 +153,24 @@ TEST(MetricsRegistry, ClearEmptiesTheRegistry) {
   EXPECT_EQ(registry.find("x"), nullptr);
   registry.setCounter("y", 2);  // reusable after clear
   EXPECT_EQ(registry.size(), 1u);
+}
+
+TEST(ServeCounterList, EveryCounterIsExportedAndCompared) {
+  // Each counter gets a distinct value; doubles get a fractional one.
+  std::size_t listed = 0;
+  std::size_t listedBytes = 0;
+#define DCACHE_CHECK(type, name)                              \
+  ++listed;                                                   \
+  listedBytes += sizeof(type);                                \
+  checkListedCounter<type>(#name, &core::ServeCounters::name, \
+                           static_cast<type>(listed) + type{1} / 2);
+  DCACHE_SERVE_COUNTERS(DCACHE_CHECK)
+#undef DCACHE_CHECK
+  // No data member lives outside the list.
+  EXPECT_EQ(listedBytes, sizeof(core::ServeCounters));
+  EXPECT_TRUE(
+      core::differingCounters(core::ServeCounters{}, core::ServeCounters{})
+          .empty());
 }
 
 }  // namespace

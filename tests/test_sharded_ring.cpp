@@ -1,6 +1,6 @@
-// Sharded cache and consistent-hash ring tests: routing stability, load
-// balance, minimal disruption on membership change, and the remote/linked
-// cache front-ends' accounting.
+// Consistent-hash ring tests: routing stability, load balance, minimal
+// disruption on membership change, and the remote/linked cache front-ends'
+// accounting.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -8,54 +8,10 @@
 #include "cache/hash_ring.hpp"
 #include "cache/linked_cache.hpp"
 #include "cache/remote_cache.hpp"
-#include "cache/sharded.hpp"
 #include "util/hash.hpp"
 
 namespace dcache::cache {
 namespace {
-
-TEST(Sharded, RoutesKeyToSameShardAlways) {
-  ShardedCache cache(util::Bytes::mb(1), 8);
-  const std::size_t shard = cache.shardForKey("stable-key");
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(cache.shardForKey("stable-key"), shard);
-  }
-}
-
-TEST(Sharded, GetPutEraseWork) {
-  ShardedCache cache(util::Bytes::mb(1), 4);
-  cache.put("k1", CacheEntry::sized(100, 5));
-  const CacheEntry* hit = cache.get("k1");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->version, 5u);
-  EXPECT_TRUE(cache.erase("k1"));
-  EXPECT_EQ(cache.get("k1"), nullptr);
-}
-
-TEST(Sharded, AggregateStatsSumShards) {
-  ShardedCache cache(util::Bytes::mb(1), 4);
-  for (int i = 0; i < 100; ++i) {
-    cache.put("key" + std::to_string(i), CacheEntry::sized(10));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_NE(cache.get("key" + std::to_string(i)), nullptr);
-  }
-  const CacheStats agg = cache.aggregateStats();
-  EXPECT_EQ(agg.hits, 100u);
-  EXPECT_EQ(agg.insertions, 100u);
-  EXPECT_EQ(cache.itemCount(), 100u);
-}
-
-TEST(Sharded, ShardsRoughlyBalanced) {
-  ShardedCache cache(util::Bytes::mb(8), 4);
-  for (int i = 0; i < 20000; ++i) {
-    cache.put("key" + std::to_string(i), CacheEntry::sized(1));
-  }
-  for (std::size_t s = 0; s < cache.shardCount(); ++s) {
-    EXPECT_NEAR(static_cast<double>(cache.shard(s).itemCount()), 5000.0,
-                5000.0 * 0.15);
-  }
-}
 
 TEST(HashRing, OwnerStableAcrossQueries) {
   HashRing ring;

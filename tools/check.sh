@@ -49,29 +49,15 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Disaggregated lane: the fifth architecture's one-sided read path, hot
 # caches and invalidation fan-out run under ASan explicitly (fig2's
-# analytic panel + fig4's experiment cells), and the --disagg gate itself
-# holds the determinism contract in both positions — the gate-closed runs
-# must also be byte-identical across worker counts.
-"$BUILD_DIR/bench/fig2_model" --disagg 1 > /dev/null
+# analytic panel + fig4's experiment cells).
+"$BUILD_DIR/bench/fig2_model" > /dev/null
 DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-  "$BUILD_DIR/bench/fig4_synthetic" --disagg 1 --jobs 8 > /dev/null
-for bench in fig2_model fig4_synthetic; do
-  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-    "$BUILD_DIR/bench/$bench" --disagg 0 --jobs 1 > "$BUILD_DIR/${bench}_off_j1.txt"
-  DCACHE_GOLDEN_OPS="${DCACHE_GOLDEN_OPS:-2000}" \
-    "$BUILD_DIR/bench/$bench" --disagg 0 --jobs 8 > "$BUILD_DIR/${bench}_off_j8.txt"
-  if ! diff -q "$BUILD_DIR/${bench}_off_j1.txt" "$BUILD_DIR/${bench}_off_j8.txt" > /dev/null; then
-    echo "check.sh: $bench --disagg 0 output differs between --jobs 1 and --jobs 8" >&2
-    diff "$BUILD_DIR/${bench}_off_j1.txt" "$BUILD_DIR/${bench}_off_j8.txt" >&2 || true
-    exit 1
-  fi
-done
+  "$BUILD_DIR/bench/fig4_synthetic" --jobs 8 > /dev/null
 
 # Determinism diff: every deterministic bench must emit byte-identical
 # stdout for --jobs 1 and --jobs 8. The golden-op cap keeps the sanitized
 # runs fast while still driving the full matrix (same cells, same seeds).
-# fig9/fig10 additionally run at full scale below, because their fault and
-# overload paths only saturate with the complete timeline.
+# The timeline benches (fig9-12) run at full scale below instead.
 DET_BENCHES=(fig2_model fig3_uc_trace fig4_synthetic fig5_kv_workloads
              fig6_breakdown fig7_rich_objects fig8_delayed_writes
              ablation_cache_alloc ablation_consistency ext_workloads)
@@ -87,51 +73,25 @@ for bench in "${DET_BENCHES[@]}"; do
   fi
 done
 
-# The failure-timeline bench exercises the fault-injection paths (crashes,
-# resharding, RPC retries, single-flight coalescing) under the sanitizers,
-# and its output must be byte-identical regardless of worker count.
-"$BUILD_DIR/bench/fig9_failure_timeline" --jobs 1 > "$BUILD_DIR/fig9_j1.txt"
-"$BUILD_DIR/bench/fig9_failure_timeline" --jobs 8 > "$BUILD_DIR/fig9_j8.txt"
-if ! diff -q "$BUILD_DIR/fig9_j1.txt" "$BUILD_DIR/fig9_j8.txt" > /dev/null; then
-  echo "check.sh: fig9_failure_timeline output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig9_j1.txt" "$BUILD_DIR/fig9_j8.txt" >&2 || true
-  exit 1
-fi
-
-# The overload bench exercises the queueing model, load shedding, circuit
-# breakers, hedged requests and deadline budgets under the sanitizers, with
-# the same byte-identical --jobs contract.
-"$BUILD_DIR/bench/fig10_overload" --jobs 1 > "$BUILD_DIR/fig10_j1.txt"
-"$BUILD_DIR/bench/fig10_overload" --jobs 8 > "$BUILD_DIR/fig10_j8.txt"
-if ! diff -q "$BUILD_DIR/fig10_j1.txt" "$BUILD_DIR/fig10_j8.txt" > /dev/null; then
-  echo "check.sh: fig10_overload output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig10_j1.txt" "$BUILD_DIR/fig10_j8.txt" >&2 || true
-  exit 1
-fi
-
-# The gray-failure bench exercises slow-node / partial-partition / flaky
-# injection, the health monitor's ejection + probing loop, and replica
-# fallback routing under the sanitizers. Full scale for the same reason as
-# fig9/fig10: the detection and recovery dynamics need the whole timeline.
-"$BUILD_DIR/bench/fig11_gray_failures" --jobs 1 > "$BUILD_DIR/fig11_j1.txt"
-"$BUILD_DIR/bench/fig11_gray_failures" --jobs 8 > "$BUILD_DIR/fig11_j8.txt"
-if ! diff -q "$BUILD_DIR/fig11_j1.txt" "$BUILD_DIR/fig11_j8.txt" > /dev/null; then
-  echo "check.sh: fig11_gray_failures output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig11_j1.txt" "$BUILD_DIR/fig11_j8.txt" >&2 || true
-  exit 1
-fi
-
-# The membership-churn bench replays planned join/leave timelines with the
-# warm-handoff pump, dual-read fallback and epoch fencing under the
-# sanitizers. Full scale so the transfer windows actually span the
-# rolling-restart wave, and byte-diffed across worker counts like the rest.
-"$BUILD_DIR/bench/fig12_churn" --jobs 1 > "$BUILD_DIR/fig12_j1.txt"
-"$BUILD_DIR/bench/fig12_churn" --jobs 8 > "$BUILD_DIR/fig12_j8.txt"
-if ! diff -q "$BUILD_DIR/fig12_j1.txt" "$BUILD_DIR/fig12_j8.txt" > /dev/null; then
-  echo "check.sh: fig12_churn output differs between --jobs 1 and --jobs 8" >&2
-  diff "$BUILD_DIR/fig12_j1.txt" "$BUILD_DIR/fig12_j8.txt" >&2 || true
-  exit 1
-fi
+# The timeline benches run at full scale under the sanitizers, because
+# their dynamics only appear over the complete timeline: fig9's crashes,
+# resharding, RPC retries and single-flight coalescing; fig10's queueing
+# model, load shedding, circuit breakers, hedged requests and deadline
+# budgets; fig11's slow-node / partial-partition / flaky injection, health
+# monitor ejection + probing and replica fallback; fig12's planned
+# join/leave with the warm-handoff pump, dual-read fallback and epoch
+# fencing across the whole rolling-restart wave. Each must also be
+# byte-identical across worker counts.
+for bench in fig9_failure_timeline fig10_overload fig11_gray_failures \
+             fig12_churn; do
+  "$BUILD_DIR/bench/$bench" --jobs 1 > "$BUILD_DIR/${bench}_j1.txt"
+  "$BUILD_DIR/bench/$bench" --jobs 8 > "$BUILD_DIR/${bench}_j8.txt"
+  if ! diff -q "$BUILD_DIR/${bench}_j1.txt" "$BUILD_DIR/${bench}_j8.txt" > /dev/null; then
+    echo "check.sh: $bench output differs between --jobs 1 and --jobs 8" >&2
+    diff "$BUILD_DIR/${bench}_j1.txt" "$BUILD_DIR/${bench}_j8.txt" >&2 || true
+    exit 1
+  fi
+done
 
 echo "check.sh: lint, all tests, the parallel benches, and the determinism gates passed under ASan/UBSan"
 

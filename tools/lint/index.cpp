@@ -80,6 +80,26 @@ struct Classified {
   bool isDestructor = false;
 };
 
+/// `NAME ( ... )` with an all-caps NAME and balanced parentheses closing on
+/// the last token: a macro invocation standing as a whole statement.
+[[nodiscard]] bool isCompleteMacroCall(const std::vector<Token>& stmt) {
+  if (stmt.size() < 3 || stmt[0].kind != TokenKind::kIdentifier ||
+      !isPunct(stmt[1], "(") || !isPunct(stmt.back(), ")")) {
+    return false;
+  }
+  for (const char c : stmt[0].text) {
+    if (std::islower(static_cast<unsigned char>(c))) return false;
+  }
+  int depth = 0;
+  for (std::size_t k = 1; k < stmt.size(); ++k) {
+    if (isPunct(stmt[k], "(")) ++depth;
+    if (isPunct(stmt[k], ")") && --depth == 0 && k + 1 < stmt.size()) {
+      return false;  // closed early: `F(a) (b)`, not one invocation
+    }
+  }
+  return depth == 0;
+}
+
 /// Tokens that may sit between a function's ')' and its '{':
 /// `const noexcept override final -> Type && requires(...)` etc.
 [[nodiscard]] bool isTrailingToken(const Token& t) {
@@ -630,6 +650,10 @@ Index buildIndex(const LintInput& input) {
                     isId(cls.stmt[0], "protected"))) {
           cls.stmt.clear();  // access specifier
         } else if (!isPunct(t, "{") && !isPunct(t, "}")) {
+          // A bare macro invocation — `LIST(FIELD)`, no ';' — is a
+          // statement of its own (an X-macro field list), so the member
+          // after it starts clean.
+          if (isCompleteMacroCall(cls.stmt)) cls.stmt.clear();
           cls.stmt.push_back(t);
         }
       }

@@ -2,10 +2,10 @@
 //
 // The simulator's headline guarantees — byte-identical output for any
 // `--jobs N`, every CPU cycle priced through the single `sim::Node::charge`
-// funnel, every ServeCounters field exported and conserved — are properties
-// of the *source*, not just of a lucky seed. This tool enforces them at
-// build time with light tokenization (no libclang): see INVARIANTS.md for
-// the rule catalogue and the suppression syntax.
+// funnel, every ServeCounters field declared through the counter list —
+// are properties of the *source*, not just of a lucky seed. This tool
+// enforces them at build time with light tokenization (no libclang): see
+// INVARIANTS.md for the rule catalogue and the suppression syntax.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +57,7 @@ struct SourceFile {
 
 /// Tokenize C/C++ source: strips comments and collects suppression
 /// directives from them; string/char literal contents are kept as single
-/// tokens (the counter-registration rule matches metric-name strings).
+/// tokens.
 [[nodiscard]] SourceFile lexFile(const std::string& relPath,
                                  const std::string& text);
 
