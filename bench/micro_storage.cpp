@@ -1,12 +1,15 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
-// statement execution, raw KV engine operations and the row codec. The
+// statement execution (including the plan-cache hit path), raw KV engine
+// point gets and prefix scans, and the row codec. The
 // parse/plan numbers here are the *host* cost of our mini engine; the
 // simulated TiDB front-end charges the calibrated constants documented in
 // core/calibration.hpp instead.
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
@@ -107,6 +110,24 @@ void BM_ExecUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_ExecUpdate);
 
+/// The same few statement texts over and over, as the rich-object path
+/// issues them: every call after the first reuses the cached plan.
+void BM_ExecRepeatedSelect(benchmark::State& state) {
+  DbFixture fixture;
+  static constexpr std::string_view kStatements[] = {
+      "SELECT * FROM users WHERE id = ?", "SELECT name FROM users WHERE id = ?",
+      "SELECT id, team FROM users WHERE id = ? LIMIT 1"};
+  std::int64_t n = 0;
+  for (auto _ : state) {
+    const Value params[] = {Value{(n * 37) % 10000}};
+    auto result = fixture.db.exec(
+        fixture.client, kStatements[static_cast<std::size_t>(n) % 3], params);
+    benchmark::DoNotOptimize(result.rows.data());
+    ++n;
+  }
+}
+BENCHMARK(BM_ExecRepeatedSelect);
+
 void BM_KvReadValue(benchmark::State& state) {
   DbFixture fixture;
   for (int i = 0; i < 10000; ++i) {
@@ -134,6 +155,46 @@ void BM_KvEngineRawGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvEngineRawGet);
+
+/// Catalog-shaped keyspace: per table a row key plus one to four secondary
+/// index keys under a long shared prefix, compacted into the sealed run,
+/// then a small delta of newer tables the scans must merge in.
+void BM_KvEngineScanPrefix(benchmark::State& state) {
+  constexpr std::uint64_t kSealedTables = 100000;
+  constexpr std::uint64_t kDeltaTables = 500;
+  storage::KvEngine engine;
+  std::uint64_t ts = 0;
+  auto loadTable = [&](std::uint64_t t) {
+    const std::string id = std::to_string(t);
+    engine.put("t/tables/r/" + id, storage::StoredValue::sized(200), ++ts);
+    for (std::uint64_t p = 0; p <= t % 4; ++p) {
+      engine.put("t/privileges/i/securable_id/tbl" + id + "/" +
+                     std::to_string(t * 4 + p),
+                 storage::StoredValue::sized(0), ++ts);
+    }
+  };
+  for (std::uint64_t t = 0; t < kSealedTables; ++t) loadTable(t);
+  engine.compact();
+  for (std::uint64_t t = kSealedTables; t < kSealedTables + kDeltaTables; ++t) {
+    loadTable(t);
+  }
+  std::vector<std::string> prefixes;
+  for (std::uint64_t i = 0; i < 4096; ++i) {
+    const std::uint64_t t = (i * 7919) % (kSealedTables + kDeltaTables);
+    prefixes.push_back("t/privileges/i/securable_id/tbl" + std::to_string(t) +
+                       "/");
+  }
+  std::size_t i = 0;
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    rows += engine.scanPrefix(
+        prefixes[i], storage::KvEngine::kLatest,
+        [](std::string_view, const storage::StoredValue&) { return true; });
+    i = (i + 1) % prefixes.size();
+  }
+  benchmark::DoNotOptimize(rows);
+}
+BENCHMARK(BM_KvEngineScanPrefix);
 
 void BM_RowCodecRoundtrip(benchmark::State& state) {
   const TableSchema schema("t",

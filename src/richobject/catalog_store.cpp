@@ -218,6 +218,7 @@ void CatalogStore::populate() {
                         "value" + std::to_string(rng.next() % 1000)}});
     }
   }
+  db_->compact();
 }
 
 }  // namespace dcache::richobject

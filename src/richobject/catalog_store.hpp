@@ -35,7 +35,8 @@ class CatalogStore {
   /// DDL: create all catalog tables (idempotent).
   void createSchemas();
 
-  /// Bulk-load the dataset (no cost accounting — experiment setup).
+  /// Bulk-load the dataset (no cost accounting — experiment setup), then
+  /// compact the storage engines so the first scans find a sorted run.
   void populate();
 
   [[nodiscard]] std::uint64_t tableCount() const noexcept {

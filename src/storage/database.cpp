@@ -81,6 +81,7 @@ std::string Database::kvKey(std::string_view key) {
 void Database::createTable(TableSchema schema) {
   std::string name = schema.name();
   schemas_.insert_or_assign(std::move(name), std::move(schema));
+  planCache_.clear();
 }
 
 const TableSchema* Database::schema(std::string_view table) const {
@@ -113,6 +114,10 @@ void Database::reserveKeys(std::size_t expectedKeys) {
   const std::size_t perEngine =
       expectedKeys / engines_.size() + expectedKeys / (engines_.size() * 8);
   for (KvEngine& engine : engines_) engine.reserveKeys(perEngine);
+}
+
+void Database::compact() {
+  for (KvEngine& engine : engines_) engine.compact();
 }
 
 // ---- engine-level API ----
@@ -260,25 +265,37 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   QueryResult result;
   sim::Node& frontend = frontendForStatement();
 
-  ParseResult parsed = parseSql(sql);
-  if (const auto* err = std::get_if<ParseError>(&parsed)) {
-    result.error = "parse error: " + err->message;
-    result.latencyMicros =
-        settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
-    return result;
-  }
-  PlanResult planned = planner_.plan(std::get<Statement>(parsed));
-  if (const auto* err = std::get_if<PlanError>(&planned)) {
-    result.error = "plan error: " + err->message;
-    result.latencyMicros =
-        settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
-    return result;
+  // The modeled parse/plan CPU was charged above whether or not the host
+  // reuses a cached plan.
+  PlanResult planned;
+  const QueryPlan* plan = nullptr;
+  if (const auto cached = planCache_.find(sql); cached != planCache_.end()) {
+    plan = &cached->second;
+  } else {
+    ParseResult parsed = parseSql(sql);
+    if (const auto* err = std::get_if<ParseError>(&parsed)) {
+      result.error = "parse error: " + err->message;
+      result.latencyMicros =
+          settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
+      return result;
+    }
+    planned = planner_.plan(std::get<Statement>(parsed));
+    if (const auto* err = std::get_if<PlanError>(&planned)) {
+      result.error = "plan error: " + err->message;
+      result.latencyMicros =
+          settleRpc(client, frontend, sql.size(), 32, ExecTrace{});
+      return result;
+    }
+    plan = &std::get<QueryPlan>(planned);
+    if (planCache_.size() < kPlanCacheCapacity) {
+      plan = &planCache_.emplace(std::string(sql), std::move(*plan))
+                  .first->second;
+    }
   }
 
   ExecTrace trace;
   Executor executor(*this);
-  Executor::Outcome outcome =
-      executor.run(std::get<QueryPlan>(planned), params, trace);
+  Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
     result.latencyMicros =
@@ -293,8 +310,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   std::uint64_t requestBytes = sql.size();
   for (const Value& p : params) requestBytes += valueToString(p).size() + 2;
   std::uint64_t responseBytes = 16;
-  const TableSchema* outSchema =
-      std::get<QueryPlan>(planned).primary.schema;
+  const TableSchema* outSchema = plan->primary.schema;
   for (const Row& row : outcome.rows) {
     // Projection can mix schemas; approximate with the primary schema's
     // encoding, which the projected rows were sized from.

@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "rpc/channel.hpp"
@@ -28,6 +29,7 @@
 #include "storage/raft.hpp"
 #include "storage/row.hpp"
 #include "storage/schema.hpp"
+#include "util/hash.hpp"
 
 namespace dcache::storage {
 
@@ -82,6 +84,9 @@ class Database {
   /// Pre-size every engine's point index for a bulk load of `expectedKeys`
   /// (spread by key hash), avoiding per-engine rehash cascades.
   void reserveKeys(std::size_t expectedKeys);
+  /// End of a bulk load that SQL will scan: sort every engine's keys into
+  /// its sealed run now, so setup pays the sort instead of the first scan.
+  void compact();
 
   // ---- SQL path ----
   struct QueryResult {
@@ -93,6 +98,15 @@ class Database {
   };
   QueryResult exec(sim::Node& client, std::string_view sql,
                    std::span<const Value> params = {});
+
+  /// Successfully planned statements are cached by exact SQL text, up to
+  /// this many; past it, new texts are parsed and planned every time. The
+  /// cache saves host time only: every statement is still charged the
+  /// modeled connection, parse and plan CPU.
+  static constexpr std::size_t kPlanCacheCapacity = 256;
+  [[nodiscard]] std::size_t planCacheSize() const noexcept {
+    return planCache_.size();
+  }
 
   // ---- KV path (implicit blob table) ----
   struct ReadResult {
@@ -189,6 +203,10 @@ class Database {
   std::vector<std::unique_ptr<BlockCache>> blockCaches_;
   std::map<std::string, TableSchema, std::less<>> schemas_;
   Planner planner_;
+  // Plans hold schema pointers and column indices: createTable clears it.
+  std::unordered_map<std::string, QueryPlan, util::TransparentStringHash,
+                     std::equal_to<>>
+      planCache_;
   std::uint64_t ts_ = 0;
 };
 

@@ -1,46 +1,37 @@
 #include "storage/kv_engine.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
 
 namespace dcache::storage {
 
-KvEngine::Chain* KvEngine::findChain(std::uint64_t hash,
-                                     std::string_view key) const {
-  if (index_.empty()) return nullptr;
+std::uint32_t KvEngine::find(std::uint64_t hash, std::string_view key) const {
+  if (index_.empty()) return kEmptySlot;
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
   std::size_t pos = static_cast<std::size_t>(hash) & indexMask_;
-  while (index_[pos].chain != nullptr) {
-    if (index_[pos].hash == hash && *index_[pos].key == key) {
-      return index_[pos].chain;
+  while (index_[pos].handle != kEmptySlot) {
+    const Slot slot = index_[pos];
+    if (slot.tag == tag) {
+      const Entry& entry = entries_[slot.handle];
+      if (entry.hash == hash && keyOf(entry) == key) return slot.handle;
     }
     pos = (pos + 1) & indexMask_;
   }
-  return nullptr;
+  return kEmptySlot;
 }
 
-void KvEngine::indexInsert(std::uint64_t hash, const std::string* key,
-                           Chain* chain) {
-  maybeGrowIndex();
+void KvEngine::indexPlace(std::uint64_t hash, std::uint32_t handle) {
   std::size_t pos = static_cast<std::size_t>(hash) & indexMask_;
-  while (index_[pos].chain != nullptr) pos = (pos + 1) & indexMask_;
-  index_[pos] = IndexSlot{hash, key, chain};
-}
-
-void KvEngine::maybeGrowIndex() {
-  // Grow at 70% load; chains_.size() is the number of occupied slots.
-  if (!index_.empty() && (chains_.size() + 1) * 10 <= index_.size() * 7) {
-    return;
-  }
-  rebuildIndex(index_.empty() ? 1024 : index_.size() * 2);
+  while (index_[pos].handle != kEmptySlot) pos = (pos + 1) & indexMask_;
+  index_[pos] = Slot{static_cast<std::uint32_t>(hash >> 32), handle};
 }
 
 void KvEngine::rebuildIndex(std::size_t slots) {
-  index_.assign(slots, IndexSlot{});
+  index_.assign(slots, Slot{});
   indexMask_ = slots - 1;
-  for (auto& [key, chain] : chains_) {
-    const std::uint64_t h = util::fastHash64(key);
-    std::size_t pos = static_cast<std::size_t>(h) & indexMask_;
-    while (index_[pos].chain != nullptr) pos = (pos + 1) & indexMask_;
-    index_[pos] = IndexSlot{h, &key, &chain};
+  for (std::size_t h = 0; h < entries_.size(); ++h) {
+    indexPlace(entries_[h].hash, static_cast<std::uint32_t>(h));
   }
 }
 
@@ -49,18 +40,46 @@ void KvEngine::reserveKeys(std::size_t expectedKeys) {
   // Size so `expectedKeys` stays under the 70% growth threshold.
   while (expectedKeys * 10 > slots * 7) slots *= 2;
   if (slots > index_.size()) rebuildIndex(slots);
+  entries_.reserve(expectedKeys);
+}
+
+KvEngine::Entry KvEngine::makeEntry(std::uint64_t hash, std::string_view key,
+                                    std::vector<char>& arena) {
+  Entry entry;
+  entry.hash = hash;
+  entry.keyLength = static_cast<std::uint32_t>(key.size());
+  if (key.size() <= kInlineKeyBytes) {
+    std::copy(key.begin(), key.end(), entry.inlineKey.begin());
+  } else {
+    entry.keyOffset = static_cast<std::uint32_t>(arena.size());
+    arena.insert(arena.end(), key.begin(), key.end());
+  }
+  return entry;
+}
+
+std::uint32_t KvEngine::createEntry(std::uint64_t hash, std::string_view key) {
+  if (deltaOrder_.size() >= std::max(kMinFoldKeys, sealed_ / 8)) compact();
+  if (entries_.size() >= kEmptySlot ||
+      arena_.size() + key.size() > UINT32_MAX) {
+    throw std::length_error("KvEngine: more keys than 32-bit handles address");
+  }
+  const auto handle = static_cast<std::uint32_t>(entries_.size());
+  entries_.push_back(makeEntry(hash, key, arena_));
+  // Grow at 70% load; every entry occupies one slot.
+  if (index_.empty() || entries_.size() * 10 > index_.size() * 7) {
+    rebuildIndex(index_.empty() ? 1024 : index_.size() * 2);
+  } else {
+    indexPlace(hash, handle);
+  }
+  return handle;
 }
 
 bool KvEngine::put(std::string_view key, StoredValue value,
                    std::uint64_t commitTs) {
   const std::uint64_t h = util::fastHash64(key);
-  Chain* found = findChain(h, key);
-  if (found == nullptr) {
-    auto it = chains_.emplace(std::string(key), Chain{}).first;
-    found = &it->second;
-    indexInsert(h, &it->first, found);
-  }
-  Chain& chain = *found;
+  std::uint32_t handle = find(h, key);
+  if (handle == kEmptySlot) handle = createEntry(h, key);
+  Chain& chain = entries_[handle].chain;
   if (!chain.empty() && chain.back().version >= commitTs) {
     return false;  // stale write: a newer version is already committed
   }
@@ -80,18 +99,27 @@ bool KvEngine::erase(std::string_view key, std::uint64_t commitTs) {
   return put(key, std::move(tomb), commitTs);
 }
 
-const StoredValue* KvEngine::get(std::string_view key,
-                                 std::uint64_t snapshotTs) const {
-  const Chain* found = findChain(util::fastHash64(key), key);
-  if (found == nullptr) return nullptr;
-  const Chain& chain = *found;
-  // Newest version with version <= snapshotTs.
+namespace {
+
+/// Newest version at or below `snapshotTs`; nullptr if that is a tombstone
+/// or every version is newer.
+const StoredValue* visibleIn(const std::vector<StoredValue>& chain,
+                             std::uint64_t snapshotTs) {
   for (auto rit = chain.rbegin(); rit != chain.rend(); ++rit) {
     if (rit->version <= snapshotTs) {
       return rit->tombstone ? nullptr : &*rit;
     }
   }
   return nullptr;
+}
+
+}  // namespace
+
+const StoredValue* KvEngine::get(std::string_view key,
+                                 std::uint64_t snapshotTs) const {
+  const std::uint32_t handle = find(util::fastHash64(key), key);
+  if (handle == kEmptySlot) return nullptr;
+  return visibleIn(entries_[handle].chain, snapshotTs);
 }
 
 std::optional<std::uint64_t> KvEngine::latestVersion(
@@ -101,33 +129,126 @@ std::optional<std::uint64_t> KvEngine::latestVersion(
   return v->version;
 }
 
+std::size_t KvEngine::sealedLowerBound(std::string_view prefix) const {
+  // First fence at or past `prefix`; the answer lies in the block before it.
+  const auto fence = std::partition_point(
+      fences_.begin(), fences_.end(), [&](FenceRef ref) {
+        return std::string_view(fenceKeys_.data() + ref.offset, ref.length) <
+               prefix;
+      });
+  if (fence == fences_.begin()) return 0;
+  // That block's first key (the fence) is below `prefix`; the next fence,
+  // or the end of the run, is not.
+  const std::size_t first =
+      static_cast<std::size_t>(fence - fences_.begin() - 1) * kFenceStride;
+  std::size_t lo = first + 1;
+  std::size_t hi = std::min(first + kFenceStride, sealed_);
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (keyAt(mid) < prefix) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+void KvEngine::sortDelta() const {
+  const std::size_t sorted = deltaOrder_.size();
+  // Sort the new arrivals by their key views (one indirection per compare
+  // instead of two), then merge them into the already sorted handles.
+  std::vector<std::pair<std::string_view, std::uint32_t>> arrivals;
+  arrivals.reserve(entries_.size() - sealed_ - sorted);
+  for (std::size_t h = sealed_ + sorted; h < entries_.size(); ++h) {
+    arrivals.emplace_back(keyAt(h), static_cast<std::uint32_t>(h));
+  }
+  std::sort(arrivals.begin(), arrivals.end());
+  for (const auto& arrival : arrivals) deltaOrder_.push_back(arrival.second);
+  const auto mid = deltaOrder_.begin() + static_cast<std::ptrdiff_t>(sorted);
+  std::inplace_merge(deltaOrder_.begin(), mid, deltaOrder_.end(),
+                     [this](std::uint32_t a, std::uint32_t b) {
+                       return keyAt(a) < keyAt(b);
+                     });
+}
+
 std::size_t KvEngine::scanPrefix(
     std::string_view prefix, std::uint64_t snapshotTs,
     const std::function<bool(std::string_view, const StoredValue&)>& fn) const {
+  if (deltaUnsorted()) sortDelta();
+  // Merge-walk the sealed run and the sorted delta; each side stops at its
+  // first key outside the prefix. Keys are unique across the two sides.
+  std::size_t sealedPos = sealedLowerBound(prefix);
+  auto deltaPos = std::partition_point(
+      deltaOrder_.begin(), deltaOrder_.end(),
+      [&](std::uint32_t h) { return keyAt(h) < prefix; });
   std::size_t visited = 0;
-  for (auto it = chains_.lower_bound(prefix); it != chains_.end(); ++it) {
-    const std::string& key = it->first;
-    if (key.compare(0, prefix.size(), prefix) != 0) break;
-    // Find visible version inline to avoid a second map lookup.
-    const StoredValue* visible = nullptr;
-    for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-      if (rit->version <= snapshotTs) {
-        if (!rit->tombstone) visible = &*rit;
-        break;
-      }
+  while (true) {
+    const bool fromSealed =
+        sealedPos < sealed_ && keyAt(sealedPos).starts_with(prefix);
+    const bool fromDelta = deltaPos != deltaOrder_.end() &&
+                           keyAt(*deltaPos).starts_with(prefix);
+    std::size_t handle = 0;
+    if (fromSealed && (!fromDelta || keyAt(sealedPos) < keyAt(*deltaPos))) {
+      handle = sealedPos++;
+    } else if (fromDelta) {
+      handle = *deltaPos++;
+    } else {
+      break;
     }
-    if (visible) {
+    const Entry& entry = entries_[handle];
+    if (const StoredValue* visible = visibleIn(entry.chain, snapshotTs)) {
       ++visited;
-      if (!fn(key, *visible)) break;
+      if (!fn(keyOf(entry), *visible)) break;
     }
   }
   return visited;
 }
 
+void KvEngine::compact() {
+  if (deltaUnsorted()) sortDelta();
+  if (deltaOrder_.empty()) return;
+  // Merge the sealed run with the sorted delta, then rewrite entries and
+  // key bytes in that order so a scan reads both sequentially.
+  std::vector<Entry> sorted;
+  sorted.reserve(entries_.capacity());  // keeps any reserveKeys() headroom
+  std::vector<char> arena;
+  arena.reserve(arena_.size());
+  const auto append = [&](std::size_t h) {
+    Entry& entry = entries_[h];
+    sorted.push_back(makeEntry(entry.hash, keyOf(entry), arena));
+    sorted.back().chain = std::move(entry.chain);
+  };
+  std::size_t s = 0;
+  auto d = deltaOrder_.begin();
+  while (s < sealed_ || d != deltaOrder_.end()) {
+    if (d == deltaOrder_.end() || (s < sealed_ && keyAt(s) < keyAt(*d))) {
+      append(s++);
+    } else {
+      append(*d++);
+    }
+  }
+  entries_.swap(sorted);
+  arena_.swap(arena);
+  sealed_ = entries_.size();
+  deltaOrder_.clear();
+  fences_.clear();
+  fenceKeys_.clear();
+  for (std::size_t h = 0; h < sealed_; h += kFenceStride) {
+    const std::string_view key = keyAt(h);
+    fences_.push_back(FenceRef{static_cast<std::uint32_t>(fenceKeys_.size()),
+                               static_cast<std::uint32_t>(key.size())});
+    fenceKeys_.insert(fenceKeys_.end(), key.begin(), key.end());
+  }
+  // Handles moved; the stored hashes rebuild the index without rehashing.
+  rebuildIndex(index_.size());
+}
+
 std::size_t KvEngine::gc(std::size_t keep) {
   if (keep == 0) keep = 1;
   std::size_t reclaimed = 0;
-  for (auto& [key, chain] : chains_) {
+  for (Entry& entry : entries_) {
+    Chain& chain = entry.chain;
     if (chain.size() > keep) {
       reclaimed += chain.size() - keep;
       chain.erase(chain.begin(),

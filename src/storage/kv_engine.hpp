@@ -1,15 +1,35 @@
 // MVCC key-value engine — the TiKV stand-in. Keys map to version chains
 // ordered by commit timestamp; reads see the latest version at or below
 // their snapshot, writes append, deletes write tombstones, and GC trims
-// history. The map is ordered so secondary-index prefix scans work. Values
-// carry a logical size separate from the optional payload for the same
-// reason the caches do: simulating 1 MB values must not cost 1 MB of host
-// RAM each.
+// history. Values carry a logical size separate from the optional payload
+// for the same reason the caches do: simulating 1 MB values must not cost
+// 1 MB of host RAM each.
+//
+// Layout (a sorted run plus a delta, after cachegrand's storage_db):
+//   - entries_: one dense vector of {hash, key, version chain}, one cache
+//     line each. Keys up to 24 bytes sit in the entry, longer ones in an
+//     append-only arena. No key is ever erased: deletes write tombstones
+//     and GC trims chains in place.
+//   - index_: an open-addressing point index of {hash tag, entry handle}.
+//     Growth rebuilds it from the stored hashes.
+//   - entries_[0, sealed_) is the sealed run, physically in key order, with
+//     every kFenceStride-th key copied into a small fence array that
+//     scanPrefix binary-searches before a short in-block search.
+//   - Entries past sealed_ are the delta: keys created since the last
+//     compaction, in arrival order. A scan sorts new arrivals lazily into
+//     deltaOrder_ and merge-walks it with the sealed run, so callbacks
+//     still arrive in exact byte-wise key order.
+//   - compact() folds the delta into the sealed run. Bulk loaders call it
+//     once at the end of the load, so setup pays the sort. After that,
+//     put() folds the delta once its sorted part outgrows a stride of
+//     max(1024, sealed/8) keys, amortising the O(n) rewrite over that many
+//     new keys; a scan only ever sorts and merges the small delta. An
+//     engine that is never scanned never sorts anything.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -48,7 +68,8 @@ class KvEngine {
   bool erase(std::string_view key, std::uint64_t commitTs);
 
   /// Latest visible version at `snapshotTs` (kLatest = newest). Returns
-  /// nullptr for missing keys and tombstones.
+  /// nullptr for missing keys and tombstones. The pointer stays valid until
+  /// the next write to the same key or the next gc().
   [[nodiscard]] const StoredValue* get(std::string_view key,
                                        std::uint64_t snapshotTs = kLatest) const;
 
@@ -57,7 +78,9 @@ class KvEngine {
       std::string_view key) const;
 
   /// Ordered scan over keys with the given prefix; `fn` returns false to
-  /// stop early. Returns rows visited.
+  /// stop early and must not write to this engine. Returns rows visited.
+  /// Not safe to call concurrently with any other call on the same engine:
+  /// it may sort the delta in place.
   std::size_t scanPrefix(
       std::string_view prefix, std::uint64_t snapshotTs,
       const std::function<bool(std::string_view, const StoredValue&)>& fn) const;
@@ -66,11 +89,18 @@ class KvEngine {
   /// of versions reclaimed.
   std::size_t gc(std::size_t keep = 2);
 
-  /// Pre-size the point index for `expectedKeys` keys, avoiding the
-  /// rehash cascade when a deployment bulk-loads its keyspace.
+  /// Fold every key into the sealed run (a key-ordered rewrite of entries
+  /// and key bytes). Call once at the end of a bulk load that will be
+  /// scanned, so the sort is paid in setup rather than by the first scan.
+  void compact();
+
+  /// Pre-size the point index and entry storage for `expectedKeys` keys,
+  /// avoiding the growth cascade when a deployment bulk-loads its keyspace.
   void reserveKeys(std::size_t expectedKeys);
 
-  [[nodiscard]] std::size_t keyCount() const noexcept { return chains_.size(); }
+  [[nodiscard]] std::size_t keyCount() const noexcept {
+    return entries_.size();
+  }
   [[nodiscard]] util::Bytes liveBytes() const noexcept {
     return util::Bytes::of(liveBytes_);
   }
@@ -79,26 +109,80 @@ class KvEngine {
  private:
   using Chain = std::vector<StoredValue>;  // ascending by version
 
-  /// Open-addressing point index over `chains_`. Point gets/puts dominate
-  /// the serve path, and an RB-tree descent per lookup was the single
-  /// hottest function in the whole simulator; the ordered map is kept only
-  /// for scanPrefix. Safe because nothing ever erases a chains_ node (GC
-  /// trims chains in place), so the cached key/chain pointers stay valid.
-  struct IndexSlot {
+  /// Keys up to this long live inside their entry, so a point lookup
+  /// reads no arena bytes; longer keys live in arena_. Sized so an entry
+  /// fills exactly one cache line.
+  static constexpr std::size_t kInlineKeyBytes = 24;
+
+  struct alignas(64) Entry {
     std::uint64_t hash = 0;
-    const std::string* key = nullptr;
-    Chain* chain = nullptr;  // nullptr == empty slot
+    std::uint32_t keyLength = 0;
+    std::uint32_t keyOffset = 0;  // into arena_ when not inline
+    std::array<char, kInlineKeyBytes> inlineKey{};
+    Chain chain;
+  };
+  static_assert(sizeof(Entry) == 64, "an entry is one cache line");
+
+  struct FenceRef {
+    std::uint32_t offset = 0;  // into fenceKeys_
+    std::uint32_t length = 0;
   };
 
-  [[nodiscard]] Chain* findChain(std::uint64_t hash,
-                                 std::string_view key) const;
-  void indexInsert(std::uint64_t hash, const std::string* key, Chain* chain);
-  void maybeGrowIndex();
-  void rebuildIndex(std::size_t slots);
+  /// Point-index slot: the high half of the key hash and an entries_
+  /// position. The low hash bits pick the home slot.
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t handle = kEmptySlot;
+  };
 
-  std::map<std::string, Chain, std::less<>> chains_;
-  std::vector<IndexSlot> index_;  // power-of-two linear probing
+  static constexpr std::uint32_t kEmptySlot = UINT32_MAX;
+  /// Sealed keys per fence: scanPrefix binary-searches the fences, then
+  /// the block of this many entries the prefix falls in.
+  static constexpr std::size_t kFenceStride = 16;
+  /// Smallest sorted delta that put() folds into the sealed run.
+  static constexpr std::size_t kMinFoldKeys = 1024;
+
+  [[nodiscard]] std::string_view keyOf(const Entry& entry) const noexcept {
+    return entry.keyLength <= kInlineKeyBytes
+               ? std::string_view(entry.inlineKey.data(), entry.keyLength)
+               : std::string_view(arena_.data() + entry.keyOffset,
+                                  entry.keyLength);
+  }
+  [[nodiscard]] std::string_view keyAt(std::size_t handle) const noexcept {
+    return keyOf(entries_[handle]);
+  }
+  /// An entry for `key` with an empty chain; long keys are appended to
+  /// `arena`.
+  [[nodiscard]] static Entry makeEntry(std::uint64_t hash,
+                                       std::string_view key,
+                                       std::vector<char>& arena);
+  /// entries_ position of `key`, or kEmptySlot.
+  [[nodiscard]] std::uint32_t find(std::uint64_t hash,
+                                   std::string_view key) const;
+  /// Append `key` to the delta with an empty chain; returns its handle.
+  std::uint32_t createEntry(std::uint64_t hash, std::string_view key);
+  void indexPlace(std::uint64_t hash, std::uint32_t handle);
+  void rebuildIndex(std::size_t slots);
+  /// First sealed position whose key is >= `prefix`.
+  [[nodiscard]] std::size_t sealedLowerBound(std::string_view prefix) const;
+  [[nodiscard]] bool deltaUnsorted() const noexcept {
+    return sealed_ + deltaOrder_.size() != entries_.size();
+  }
+  /// Sort delta keys that arrived since the last sort into deltaOrder_.
+  void sortDelta() const;
+
+  std::vector<Entry> entries_;
+  std::vector<char> arena_;  // long keys' bytes, append-only between compactions
+  std::vector<Slot> index_;  // power-of-two linear probing
   std::size_t indexMask_ = 0;
+  std::size_t sealed_ = 0;  // entries_[0, sealed_) are in key order
+  // Key of every kFenceStride-th sealed entry, copied into one small
+  // contiguous buffer so the binary search stays in cache.
+  std::vector<FenceRef> fences_;
+  std::vector<char> fenceKeys_;
+  // Delta handles in key order: entries_[sealed_, sealed_ + size) sorted
+  // by the last scan. Mutable because a const scan sorts lazily.
+  mutable std::vector<std::uint32_t> deltaOrder_;
   std::uint64_t liveBytes_ = 0;  // newest non-tombstone version per key
   std::uint64_t writes_ = 0;
 };

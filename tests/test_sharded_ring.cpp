@@ -222,7 +222,9 @@ TEST_F(CacheFrontends, LinkedCrashRestartChurnRestoresExactOwnership) {
     // Routing never targets the removed member, and consistent hashing
     // moves only the victim's keys.
     EXPECT_NE(after, victim);
-    if (before[k] != victim) EXPECT_EQ(after, before[k]);
+    if (before[k] != victim) {
+      EXPECT_EQ(after, before[k]);
+    }
   }
 
   // Restart: vnode points depend only on the member index, so ownership

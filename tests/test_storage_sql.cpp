@@ -1,10 +1,13 @@
 // SQL layer tests: parser golden cases and error handling, planner access-
 // path selection, and full end-to-end execution against the database
 // (inserts, point/index/scan selects, joins, updates with index
-// maintenance, deletes, parameters, limits).
+// maintenance, deletes, parameters, limits), and the plan cache (same rows
+// and charges on a hit, invalidation on DDL, errors never cached, capped).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
@@ -305,6 +308,135 @@ TEST_F(SqlExecution, ChargesFrontendAndStorage) {
   EXPECT_GT(
       kvTier_.aggregateCpu().micros(sim::CpuComponent::kLeaseValidation),
       0.0);
+}
+
+// ---- Plan cache ----
+
+/// Per-component CPU of both tiers, for comparing what two calls charged.
+struct Charges {
+  double connection = 0.0;
+  double parse = 0.0;
+  double plan = 0.0;
+  double sqlKvExecution = 0.0;
+  double kvExecution = 0.0;
+
+  bool operator==(const Charges&) const = default;
+};
+
+class PlanCache : public SqlExecution {
+ protected:
+  Charges charges() const {
+    const auto sql = sqlTier_.aggregateCpu();
+    const auto kv = kvTier_.aggregateCpu();
+    return Charges{sql.micros(sim::CpuComponent::kConnectionMgmt),
+                   sql.micros(sim::CpuComponent::kQueryParse),
+                   sql.micros(sim::CpuComponent::kQueryPlan),
+                   sql.micros(sim::CpuComponent::kKvExecution),
+                   kv.micros(sim::CpuComponent::kKvExecution)};
+  }
+
+  /// What one exec charged, per component.
+  Charges chargedBy(std::string_view sql, std::vector<Value> params,
+                    Database::QueryResult& result) {
+    const Charges before = charges();
+    result = exec(sql, std::move(params));
+    const Charges after = charges();
+    return Charges{after.connection - before.connection,
+                   after.parse - before.parse, after.plan - before.plan,
+                   after.sqlKvExecution - before.sqlKvExecution,
+                   after.kvExecution - before.kvExecution};
+  }
+};
+
+TEST_F(PlanCache, RepeatedTextReturnsAndChargesTheSame) {
+  exec("INSERT INTO users VALUES (1, 10, 'amy')");
+  exec("INSERT INTO users VALUES (2, 10, 'bob')");
+  // Warm the block caches through a different text so the two calls below
+  // differ only in whether the plan came from the cache.
+  ASSERT_TRUE(exec("SELECT * FROM users WHERE team_id = 10").ok);
+  const std::size_t cachedBefore = db_.planCacheSize();
+
+  const char* const kSql = "SELECT * FROM users WHERE team_id = ?";
+  Database::QueryResult first;
+  Database::QueryResult second;
+  const Charges missCharges = chargedBy(kSql, {std::int64_t{10}}, first);
+  EXPECT_EQ(db_.planCacheSize(), cachedBefore + 1);
+  const Charges hitCharges = chargedBy(kSql, {std::int64_t{10}}, second);
+  EXPECT_EQ(db_.planCacheSize(), cachedBefore + 1);
+
+  ASSERT_TRUE(first.ok) << first.error;
+  ASSERT_TRUE(second.ok) << second.error;
+  ASSERT_EQ(first.rows.size(), 2u);
+  ASSERT_EQ(second.rows.size(), 2u);
+  for (std::size_t i = 0; i < first.rows.size(); ++i) {
+    EXPECT_EQ(first.rows[i].values, second.rows[i].values);
+  }
+  EXPECT_EQ(first.latencyMicros, second.latencyMicros);
+  // The cache saves host work only: the modeled parse and plan are still
+  // charged on the hit.
+  EXPECT_EQ(missCharges, hitCharges);
+  EXPECT_GT(hitCharges.connection, 0.0);
+  EXPECT_GT(hitCharges.parse, 0.0);
+  EXPECT_GT(hitCharges.plan, 0.0);
+  EXPECT_GT(hitCharges.kvExecution, 0.0);
+}
+
+TEST_F(PlanCache, RedefinedTableInvalidatesCachedPlans) {
+  exec("INSERT INTO teams VALUES (10, 'infra')");
+  const char* const kSql = "SELECT * FROM teams WHERE id = ?";
+  auto before = exec(kSql, {std::int64_t{10}});
+  ASSERT_TRUE(before.ok) << before.error;
+  ASSERT_EQ(before.rows.size(), 1u);
+  EXPECT_EQ(before.rows[0].values.size(), 2u);
+  EXPECT_GT(db_.planCacheSize(), 0u);
+
+  db_.createTable(TableSchema("teams",
+                              {Column{"id", ColumnType::kInt},
+                               Column{"title", ColumnType::kString},
+                               Column{"region", ColumnType::kString}},
+                              0));
+  EXPECT_EQ(db_.planCacheSize(), 0u);
+  ASSERT_TRUE(exec("INSERT INTO teams VALUES (20, 'data', 'eu')").ok);
+  auto after = exec(kSql, {std::int64_t{20}});
+  ASSERT_TRUE(after.ok) << after.error;
+  ASSERT_EQ(after.rows.size(), 1u);
+  ASSERT_EQ(after.rows[0].values.size(), 3u);
+  EXPECT_EQ(std::get<std::string>(after.rows[0].at(2)), "eu");
+}
+
+TEST_F(PlanCache, ErrorsAreReportedAndChargedOnEveryCall) {
+  for (const char* sql :
+       {"SELEC nothing", "SELECT * FROM missing WHERE id = 1"}) {
+    Database::QueryResult first;
+    Database::QueryResult second;
+    const Charges a = chargedBy(sql, {}, first);
+    const Charges b = chargedBy(sql, {}, second);
+    EXPECT_FALSE(first.ok);
+    EXPECT_FALSE(second.ok);
+    EXPECT_FALSE(first.error.empty());
+    EXPECT_EQ(first.error, second.error) << sql;
+    EXPECT_EQ(a, b) << sql;
+    EXPECT_GT(b.parse, 0.0) << sql;
+    EXPECT_GT(b.plan, 0.0) << sql;
+  }
+  EXPECT_EQ(db_.planCacheSize(), 0u);
+}
+
+TEST_F(PlanCache, StopsGrowingAtItsCap) {
+  exec("INSERT INTO users VALUES (7, 10, 'amy')");
+  const std::size_t texts = Database::kPlanCacheCapacity + 20;
+  for (std::size_t i = 0; i < texts; ++i) {
+    // Distinct texts: the literal differs.
+    const auto r = exec("SELECT * FROM users WHERE id = " + std::to_string(i));
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.rows.size(), i == 7 ? 1u : 0u);
+  }
+  EXPECT_EQ(db_.planCacheSize(), Database::kPlanCacheCapacity);
+  // Texts past the cap still run (parsed and planned each time).
+  const auto late = exec("SELECT * FROM users WHERE id = 7 LIMIT 1");
+  ASSERT_TRUE(late.ok) << late.error;
+  EXPECT_EQ(late.rows.size(), 1u);
+  EXPECT_EQ(db_.planCacheSize(), Database::kPlanCacheCapacity);
 }
 
 }  // namespace
