@@ -1,7 +1,8 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the cache library: per-operation costs of the
 // eviction policies, consistent hashing, Zipf sampling and the
-// Mattson profiler — the structures every simulated request crosses.
+// Mattson profiler — the structures every simulated request crosses — and
+// one Linked deployment's whole serve path on the Meta KV trace.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -9,9 +10,11 @@
 #include <vector>
 
 #include "cache/hash_ring.hpp"
+#include "core/deployment.hpp"
 #include "cache/kv_cache.hpp"
 #include "cache/mrc.hpp"
 #include "util/rng.hpp"
+#include "workload/meta_trace.hpp"
 #include "workload/workload.hpp"
 #include "workload/zipf.hpp"
 
@@ -104,6 +107,28 @@ void BM_HashRingOwner(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashRingOwner);
+
+/// Deployment::serve on Linked with the Meta KV trace (500K keys, 30%
+/// writes), as simbench's meta_kv_linked serves it: populate, 300K warmup
+/// ops, then serve a pre-generated op stream so the timing holds the
+/// serve path only (routing, cache probe/fill, storage statements, RPCs).
+void BM_DeploymentServeLinkedKv(benchmark::State& state) {
+  core::DeploymentConfig config;
+  config.architecture = core::Architecture::kLinked;
+  core::Deployment deployment(config);
+  workload::MetaTraceWorkload trace{workload::MetaTraceConfig{}};
+  deployment.populateKv(trace);
+  for (int i = 0; i < 300000; ++i) deployment.serve(trace.next());
+  std::vector<workload::Op> ops(1 << 16);
+  for (auto& op : ops) op = trace.next();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(deployment.serve(ops[i]));
+    i = (i + 1) & (ops.size() - 1);
+  }
+  state.counters["hit_ratio"] = deployment.counters().hitRatio();
+}
+BENCHMARK(BM_DeploymentServeLinkedKv);
 
 void BM_ZipfSample(benchmark::State& state) {
   workload::ZipfianGenerator zipf(

@@ -143,6 +143,32 @@ void BM_KvReadValue(benchmark::State& state) {
 }
 BENCHMARK(BM_KvReadValue);
 
+/// The KV write statement on resident keys: storage key, engine append,
+/// Raft replication, block-cache refresh and the statement's RPCs. GC runs
+/// outside the timed region every 4096 writes so version chains (and host
+/// memory) stay bounded however long the benchmark runs.
+void BM_KvWriteValue(benchmark::State& state) {
+  DbFixture fixture;
+  std::vector<std::string> keys;
+  for (std::uint64_t i = 0; i < 10000; ++i) {
+    keys.push_back(workload::keyName(i));
+    fixture.db.loadValue(keys.back(), 4096);
+  }
+  std::size_t k = 0;
+  std::size_t writes = 0;
+  for (auto _ : state) {
+    auto result = fixture.db.writeValue(fixture.client, keys[k], 4096);
+    benchmark::DoNotOptimize(result.version);
+    k = (k + 37) % keys.size();
+    if (++writes % 4096 == 0) {
+      state.PauseTiming();
+      fixture.db.runGc(2);
+      state.ResumeTiming();
+    }
+  }
+}
+BENCHMARK(BM_KvWriteValue);
+
 void BM_KvEngineRawGet(benchmark::State& state) {
   storage::KvEngine engine;
   for (std::uint64_t i = 0; i < 100000; ++i) {

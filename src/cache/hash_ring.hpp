@@ -3,10 +3,12 @@
 // moves only ~1/N of the keyspace — the property the linked cache relies on
 // for resharding, and the trigger for the delayed-writes anomaly (Fig. 8)
 // when ownership moves while a write is in flight.
+//
+// The ring is one sorted vector of {point, member}: a lookup is a binary
+// search over contiguous memory, with no per-point node to chase.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -46,8 +48,20 @@ class HashRing {
       std::size_t sampleKeys = 100000) const;
 
  private:
+  struct VNode {
+    std::uint64_t point = 0;
+    std::size_t member = 0;
+  };
+
+  /// Position of the first vnode at or clockwise past `keyHash`, wrapping
+  /// to 0 past the last point. The ring must not be empty.
+  [[nodiscard]] std::size_t firstAtOrAfter(
+      std::uint64_t keyHash) const noexcept;
+
   std::size_t vnodes_;
-  std::map<std::uint64_t, std::size_t> ring_;  // point -> member
+  /// Sorted by point, each point at most once (the first member to claim a
+  /// point keeps it).
+  std::vector<VNode> ring_;
   std::vector<std::size_t> members_;
 };
 

@@ -209,6 +209,12 @@ void Deployment::noteReplicaStaleness(const std::string& key,
 
 std::size_t Deployment::appIndexFor(const std::string& key) {
   linkedPickValid_ = false;
+  if (linked_ && !replicationOn_) {
+    // The op's one ring lookup: membership only changes between ops, so
+    // every probe, fill and update of this op reuses this owner.
+    linkedPick_ = linked_->ownerOf(key);
+    linkedPickValid_ = true;
+  }
   if (linked_ && config_.affinityRouting) {
     if (replicationOn_) {
       // Replica-aware affinity: the client leg lands on the shard the
@@ -219,7 +225,7 @@ std::size_t Deployment::appIndexFor(const std::string& key) {
         return linkedPick_;
       }
     }
-    const std::size_t owner = linked_->ownerOf(key);
+    const std::size_t owner = linkedOwnerFor(key);
     if (!dynamicTopology() || app_->node(owner).isUp()) {
       return owner;  // Slicer-style affinity
     }
@@ -246,6 +252,11 @@ std::size_t Deployment::appIndexFor(const std::string& key) {
     return idx;
   }
   return rrApp_ % app_->size();  // whole tier down: calls will time out
+}
+
+std::size_t Deployment::linkedOwnerFor(const std::string& key) const {
+  return linkedPickValid_ && !replicationOn_ ? linkedPick_
+                                             : linked_->ownerOf(key);
 }
 
 double Deployment::clientLeg(sim::Node& app, std::size_t appIndex,
@@ -384,12 +395,13 @@ double Deployment::readFromStorageAndFill(sim::Node& app,
       noteFill(key);
       return read.latencyMicros + maxLat;
     }
+    const std::size_t owner = linkedOwnerFor(key);
     if (config_.affinityRouting) {
-      linked_->fill(key, read.size, read.version);
+      linked_->fillAt(owner, key, read.size, read.version);
     } else {
       // The receiving server read the value; shipping it to the owning
       // shard is a marshalled intra-tier transfer.
-      linked_->update(appIndex, key, read.size, read.version);
+      linked_->updateAt(appIndex, owner, key, read.size, read.version);
     }
     noteFill(key);
   }
@@ -549,7 +561,7 @@ Deployment::OpResult Deployment::serveRead(const std::string& key,
         if (fallback) ++counters_.replicaFallbackReads;
         if (hit.hit) noteReplicaStaleness(key, hit.version);
       } else {
-        hit = linked_->get(appIndex, key);
+        hit = linked_->getAt(appIndex, linkedOwnerFor(key), key);
       }
       result.latencyMicros += hit.latencyMicros;
       if (hit.hit && ttlExpired(key)) {
@@ -693,11 +705,12 @@ Deployment::OpResult Deployment::serveWrite(const std::string& key,
         fillTimes_.erase(key);
       }
     } else if (config_.writeThroughCache) {
-      result.latencyMicros +=
-          linked_->update(appIndex, key, op.valueSize, write.version);
+      result.latencyMicros += linked_->updateAt(
+          appIndex, linkedOwnerFor(key), key, op.valueSize, write.version);
       noteFill(key);
     } else {
-      result.latencyMicros += linked_->invalidate(appIndex, key);
+      result.latencyMicros +=
+          linked_->invalidateAt(appIndex, linkedOwnerFor(key), key);
       fillTimes_.erase(key);
     }
   } else if (disagg_) {
@@ -788,7 +801,7 @@ Deployment::OpResult Deployment::serveObjectRead(const workload::Op& op) {
       channel_->serializer().chargeSerialize(app, servedBytes);
       result.latencyMicros += remote_->put(app, key, servedBytes, version);
     } else if (linked_) {
-      linked_->fill(key, servedBytes, version);
+      linked_->fillAt(linkedOwnerFor(key), key, servedBytes, version);
     } else if (disagg_) {
       // The far slot stores the *encoded* object (encoding is app work,
       // like the remote fill); the hot cache keeps the live in-process
@@ -828,7 +841,7 @@ Deployment::OpResult Deployment::serveObjectRead(const workload::Op& op) {
     }
     case Architecture::kLinked:
     case Architecture::kLinkedVersion: {
-      const auto hit = linked_->get(appIndex, key);
+      const auto hit = linked_->getAt(appIndex, linkedOwnerFor(key), key);
       result.latencyMicros += hit.latencyMicros;
       if (hit.hit) {
         servedBytes = hit.size;
@@ -919,12 +932,13 @@ Deployment::OpResult Deployment::serveObjectWrite(const workload::Op& op) {
   if (remote_) {
     result.latencyMicros += remote_->invalidate(app, key);
   } else if (linked_) {
+    const std::size_t owner = linkedOwnerFor(key);
     if (config_.writeThroughCache &&
-        linked_->shard(linked_->ownerOf(key)).peek(key) != nullptr) {
+        linked_->shard(owner).peek(key) != nullptr) {
       result.latencyMicros +=
-          linked_->update(appIndex, key, op.valueSize, version);
+          linked_->updateAt(appIndex, owner, key, op.valueSize, version);
     } else {
-      result.latencyMicros += linked_->invalidate(appIndex, key);
+      result.latencyMicros += linked_->invalidateAt(appIndex, owner, key);
     }
   } else if (disagg_) {
     // Object writes invalidate rather than refresh (assembly is too

@@ -320,8 +320,13 @@ class Deployment {
   OpResult serveObjectWrite(const workload::Op& op);
 
   /// App server handling this key under the active routing policy
-  /// (affinity to the linked-cache owner; round-robin otherwise).
+  /// (affinity to the linked-cache owner; round-robin otherwise). Starts
+  /// every op: it records the op's linked shard in linkedPick_.
   [[nodiscard]] std::size_t appIndexFor(const std::string& key);
+  /// Linked-ring owner of the current op's key: the owner appIndexFor
+  /// recorded, or a fresh ring lookup under replication (where
+  /// linkedPick_ may name a fallback replica instead).
+  [[nodiscard]] std::size_t linkedOwnerFor(const std::string& key) const;
 
   /// Client <-> app leg: every architecture pays it, with the value bytes.
   /// `appIndex` names the primary so the hedged path can pick a live
@@ -426,9 +431,12 @@ class Deployment {
 
   std::unique_ptr<HealthMonitor> monitor_;
   bool replicationOn_ = false;
-  /// Linked-replica pick made by appIndexFor (affinity routing) so the
-  /// serve path probes the same shard the client leg was routed to —
-  /// choosing twice would double-grant probe slots. Valid for one op.
+  /// Linked shard picked by appIndexFor, valid for one op. With
+  /// replication (and affinity routing) it is the replica the client leg
+  /// was routed to, so the probe uses the same shard — choosing twice
+  /// would double-grant probe slots. Without replication it is the key's
+  /// ring owner, so the op walks the ring once: membership only changes
+  /// between ops (setSimTimeMicros, install*Schedule).
   std::size_t linkedPick_ = 0;
   bool linkedPickFallback_ = false;
   bool linkedPickValid_ = false;

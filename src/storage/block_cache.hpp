@@ -15,6 +15,7 @@
 #include <string_view>
 
 #include "cache/flat_cache.hpp"
+#include "util/hash.hpp"
 
 namespace dcache::storage {
 
@@ -28,13 +29,21 @@ class BlockCache {
   /// Probe for the block containing `key` (a row of `rowBytes`). On a miss
   /// the block is loaded (inserted); the caller charges the disk path.
   /// Returns true on hit.
-  bool touchRead(std::string_view key, std::uint64_t rowBytes);
+  bool touchRead(std::string_view key, std::uint64_t rowBytes) {
+    return touchRead(util::hashKey(key), rowBytes);
+  }
+  /// touchRead for a key whose util::hashKey the caller already holds.
+  bool touchRead(std::uint64_t keyHash, std::uint64_t rowBytes);
 
   /// Apply a write: the row's block is refreshed in cache.
-  void touchWrite(std::string_view key, std::uint64_t rowBytes);
+  void touchWrite(std::string_view key, std::uint64_t rowBytes) {
+    touchWrite(util::hashKey(key), rowBytes);
+  }
+  void touchWrite(std::uint64_t keyHash, std::uint64_t rowBytes);
 
   /// Drop the block containing `key` (compaction, explicit invalidation).
-  void invalidate(std::string_view key);
+  void invalidate(std::string_view key) { invalidate(util::hashKey(key)); }
+  void invalidate(std::uint64_t keyHash);
 
   /// Drop everything — a storage-node crash/restart comes back cold.
   void clear() { cache_.clear(); }
@@ -51,8 +60,9 @@ class BlockCache {
 
   /// Block identifier for a key: 16 adjacent hash buckets share a block.
   [[nodiscard]] static std::string blockIdFor(std::string_view key);
-  /// blockIdFor into a caller-provided scratch buffer (per-read hot path).
-  static void blockIdTo(std::string_view key, std::string& out);
+  /// blockIdFor, from the key's util::hashKey hash, into a caller-provided
+  /// scratch buffer (per-read hot path).
+  static void blockIdTo(std::uint64_t keyHash, std::string& out);
   /// Bytes charged for a block holding a row of `rowBytes`.
   [[nodiscard]] static std::uint64_t blockSizeFor(std::uint64_t rowBytes) noexcept {
     return rowBytes > kBlockBytes ? rowBytes : kBlockBytes;

@@ -71,9 +71,36 @@ std::string Database::indexPrefix(std::string_view table,
 
 std::string Database::kvKey(std::string_view key) {
   std::string out;
-  out.reserve(3 + key.size());
-  out.append("kv/").append(key);
+  kvKeyTo(key, out);
   return out;
+}
+
+void Database::kvKeyTo(std::string_view key, std::string& out) {
+  out.assign("kv/").append(key);
+}
+
+// ---- per-statement trace ----
+
+void NodeBytes::add(std::size_t node, std::uint64_t bytes) {
+  const std::span<const Entry> all = entries();
+  const auto it = std::lower_bound(
+      all.begin(), all.end(), node,
+      [](const Entry& e, std::size_t n) { return e.node < n; });
+  const auto pos = static_cast<std::size_t>(it - all.begin());
+  if (it != all.end() && it->node == node) {
+    (count_ <= kInlineNodes ? inline_[pos] : spill_[pos]).bytes += bytes;
+    return;
+  }
+  if (count_ < kInlineNodes) {
+    std::move_backward(inline_.begin() + pos, inline_.begin() + count_,
+                       inline_.begin() + count_ + 1);
+    inline_[pos] = Entry{node, bytes};
+  } else {
+    if (count_ == kInlineNodes) spill_.assign(inline_.begin(), inline_.end());
+    spill_.insert(spill_.begin() + static_cast<std::ptrdiff_t>(pos),
+                  Entry{node, bytes});
+  }
+  ++count_;
 }
 
 // ---- schema / population ----
@@ -122,17 +149,14 @@ void Database::compact() {
 
 // ---- engine-level API ----
 
-std::size_t Database::nodeFor(std::string_view key) const noexcept {
-  return util::hashKey(key) % engines_.size();
-}
-
 void Database::syncMemoryMeters(std::size_t nodeIndex) {
   kvTier_->node(nodeIndex).mem().use(blockCaches_[nodeIndex]->bytesUsed());
 }
 
 const StoredValue* Database::engineGet(std::string_view key,
                                        ExecTrace& trace) {
-  const std::size_t idx = nodeFor(key);
+  const std::uint64_t keyHash = util::hashKey(key);
+  const std::size_t idx = nodeForHash(keyHash);
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
 
@@ -152,7 +176,7 @@ const StoredValue* Database::engineGet(std::string_view key,
   node.charge(sim::CpuComponent::kKvExecution, execMicros);
   trace.latencyMicros += execMicros;
 
-  if (!blockCaches_[idx]->touchRead(key, stored->size)) {
+  if (!blockCaches_[idx]->touchRead(keyHash, stored->size)) {
     const std::uint64_t blockBytes = BlockCache::blockSizeFor(stored->size);
     node.charge(sim::CpuComponent::kDiskIo,
                 costs.diskFixedMicros +
@@ -166,13 +190,14 @@ const StoredValue* Database::engineGet(std::string_view key,
 
   ++trace.rowsRead;
   trace.bytesRead += stored->size;
-  trace.nodeBytes[idx] += stored->size;
+  trace.nodeBytes.add(idx, stored->size);
   return stored;
 }
 
 bool Database::enginePut(std::string_view key, StoredValue value,
                          ExecTrace& trace) {
-  const std::size_t idx = nodeFor(key);
+  const std::uint64_t keyHash = util::hashKey(key);
+  const std::size_t idx = nodeForHash(keyHash);
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
   const std::uint64_t bytes = value.size + key.size();
@@ -185,17 +210,18 @@ bool Database::enginePut(std::string_view key, StoredValue value,
   const std::uint64_t rowSize = value.size;
   if (!engines_[idx].put(key, std::move(value), ++ts_)) return false;
   trace.latencyMicros += execMicros + raft_.replicate(idx, bytes);
-  blockCaches_[idx]->touchWrite(key, rowSize);
+  blockCaches_[idx]->touchWrite(keyHash, rowSize);
   syncMemoryMeters(idx);
 
   ++trace.rowsWritten;
   trace.bytesWritten += rowSize;
-  trace.nodeBytes[idx] += rowSize;
+  trace.nodeBytes.add(idx, rowSize);
   return true;
 }
 
 bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
-  const std::size_t idx = nodeFor(key);
+  const std::uint64_t keyHash = util::hashKey(key);
+  const std::size_t idx = nodeForHash(keyHash);
   sim::Node& node = kvTier_->node(idx);
   const StorageCosts& costs = config_.costs;
 
@@ -203,7 +229,7 @@ bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
               costs.execPerRowMicros + costs.memtableMicros);
   if (!engines_[idx].erase(key, ++ts_)) return false;
   trace.latencyMicros += raft_.replicate(idx, key.size());
-  blockCaches_[idx]->invalidate(key);
+  blockCaches_[idx]->invalidate(keyHash);
   ++trace.rowsWritten;
   return true;
 }
@@ -225,7 +251,7 @@ void Database::engineScanPrefix(
           trace.latencyMicros += execMicros;
           ++trace.rowsRead;
           trace.bytesRead += stored.size;
-          trace.nodeBytes[idx] += stored.size;
+          trace.nodeBytes.add(idx, stored.size);
           return fn(key, stored);
         });
   }
@@ -249,7 +275,7 @@ double Database::settleRpc(sim::Node& client, sim::Node& frontend,
   // Front-end fans out to the KV nodes it touched (parallel; latency is the
   // slowest leg), then answers the client.
   double kvLatency = 0.0;
-  for (const auto& [idx, bytes] : trace.nodeBytes) {
+  for (const auto& [idx, bytes] : trace.nodeBytes.entries()) {
     const auto call = channel_->call(frontend, kvTier_->node(idx),
                                      kPlanFragmentBytes, bytes);
     kvLatency = std::max(kvLatency, call.latencyMicros);
@@ -335,7 +361,8 @@ Database::ReadResult Database::readValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // SELECT v FROM kv WHERE k=?
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(kvKey(key), trace);
+  kvKeyTo(key, kvKeyScratch_);
+  const StoredValue* stored = engineGet(kvKeyScratch_, trace);
   result.found = stored != nullptr;
   result.size = stored ? stored->size : 0;
   result.version = stored ? stored->version : 0;
@@ -357,7 +384,8 @@ Database::WriteResult Database::writeValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // UPDATE kv SET v=? WHERE k=?
 
   ExecTrace trace;
-  enginePut(kvKey(key), StoredValue::sized(size), trace);
+  kvKeyTo(key, kvKeyScratch_);
+  enginePut(kvKeyScratch_, StoredValue::sized(size), trace);
   result.version = ts_;
 
   result.latencyMicros =
@@ -377,7 +405,8 @@ Database::VersionResult Database::versionCheck(sim::Node& client,
   sim::Node& frontend = frontendForStatement();
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(kvKey(key), trace);
+  kvKeyTo(key, kvKeyScratch_);
+  const StoredValue* stored = engineGet(kvKeyScratch_, trace);
   result.found = stored != nullptr;
   result.version = stored ? stored->version : 0;
 

@@ -11,6 +11,7 @@
 //                    (parse, plan, lease, full row fetch, front-end hop)
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,6 +51,33 @@ struct StorageCosts {
   double diskLatencyMicros = 90.0; // NVMe read latency (latency only)
 };
 
+/// Payload bytes per KV node touched by one statement, kept in ascending
+/// node order. Up to kInlineNodes nodes live inline, so a statement on a
+/// tier of that size allocates nothing; a statement touching more nodes
+/// moves every entry to the heap.
+class NodeBytes {
+ public:
+  struct Entry {
+    std::size_t node = 0;
+    std::uint64_t bytes = 0;
+  };
+  static constexpr std::size_t kInlineNodes = 8;
+
+  /// Add `bytes` to `node`; adding 0 still records the node as touched.
+  void add(std::size_t node, std::uint64_t bytes);
+  /// Touched nodes, ascending by node index.
+  [[nodiscard]] std::span<const Entry> entries() const noexcept {
+    return count_ <= kInlineNodes
+               ? std::span<const Entry>(inline_.data(), count_)
+               : std::span<const Entry>(spill_);
+  }
+
+ private:
+  std::array<Entry, kInlineNodes> inline_{};
+  std::size_t count_ = 0;
+  std::vector<Entry> spill_;  // every entry, once count_ > kInlineNodes
+};
+
 /// Per-statement execution accounting, accumulated by the executor.
 struct ExecTrace {
   std::size_t rowsRead = 0;
@@ -59,7 +87,7 @@ struct ExecTrace {
   std::size_t blockHits = 0;
   std::size_t blockMisses = 0;
   double latencyMicros = 0.0;
-  std::map<std::size_t, std::uint64_t> nodeBytes;  // kv node -> payload bytes
+  NodeBytes nodeBytes;
 };
 
 class Database {
@@ -184,7 +212,15 @@ class Database {
   [[nodiscard]] static std::string kvKey(std::string_view key);
 
  private:
-  [[nodiscard]] std::size_t nodeFor(std::string_view key) const noexcept;
+  /// kvKey into `out`, reusing its buffer.
+  static void kvKeyTo(std::string_view key, std::string& out);
+  /// KV node of a key, from its util::hashKey hash.
+  [[nodiscard]] std::size_t nodeForHash(std::uint64_t keyHash) const noexcept {
+    return keyHash % engines_.size();
+  }
+  [[nodiscard]] std::size_t nodeFor(std::string_view key) const noexcept {
+    return nodeForHash(util::hashKey(key));
+  }
   /// Charge the front-end constants common to every statement and return
   /// the chosen front-end node.
   sim::Node& frontendForStatement();
@@ -207,6 +243,9 @@ class Database {
   std::unordered_map<std::string, QueryPlan, util::TransparentStringHash,
                      std::equal_to<>>
       planCache_;
+  /// The `kv/<key>` storage key of the KV-path statement in flight; valid
+  /// only within one readValue/writeValue/versionCheck call.
+  std::string kvKeyScratch_;
   std::uint64_t ts_ = 0;
 };
 

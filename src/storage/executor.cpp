@@ -229,10 +229,14 @@ Executor::Outcome Executor::runSelect(const QueryPlan& plan,
     return out;
   };
 
-  for (const FetchedRow& fetched : primary) {
+  for (FetchedRow& fetched : primary) {
     if (plan.limit && outcome.rows.size() >= *plan.limit) break;
     if (!plan.join) {
-      outcome.rows.push_back(project(fetched.row, nullptr));
+      if (plan.projection.empty()) {
+        outcome.rows.push_back(std::move(fetched.row));  // SELECT *
+      } else {
+        outcome.rows.push_back(project(fetched.row, nullptr));
+      }
       continue;
     }
     std::vector<Row> matches;

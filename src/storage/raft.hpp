@@ -52,6 +52,13 @@ class RaftReplicator {
       std::size_t leaderIndex) const;
 
  private:
+  /// Follower `i` (1 <= i < replicationFactor) of `leaderIndex`: its i-th
+  /// ring neighbour.
+  [[nodiscard]] std::size_t followerAt(std::size_t leaderIndex,
+                                       std::size_t i) const noexcept {
+    return (leaderIndex + i) % tier_->size();
+  }
+
   sim::Tier* tier_;
   sim::NetworkModel* network_;
   RaftCosts costs_;

@@ -129,9 +129,12 @@ std::uint64_t encodedRowSize(const TableSchema& schema, const Row& row) {
       case ColumnType::kDouble:
         size += 9;
         break;
-      case ColumnType::kString:
-        size += rpc::bytesFieldSize(valueToString(row.values[c]).size());
+      case ColumnType::kString: {
+        const auto* s = std::get_if<std::string>(&row.values[c]);
+        size += rpc::bytesFieldSize(s ? s->size()
+                                      : valueToString(row.values[c]).size());
         break;
+      }
     }
   }
   return size;

@@ -4,6 +4,10 @@
 // (node, component) cell.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
@@ -189,6 +193,40 @@ TEST_F(DatabaseTest, InconsistentReadsSkipLeaseValidation) {
   db.readValue(client_, "k");
   EXPECT_DOUBLE_EQ(
       kvTier.aggregateCpu().micros(sim::CpuComponent::kLeaseValidation), 0.0);
+}
+
+/// NodeBytes as a list of {node, bytes}, for comparison with a map.
+std::vector<std::pair<std::size_t, std::uint64_t>> asPairs(
+    const NodeBytes& nodeBytes) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> out;
+  for (const auto& [node, bytes] : nodeBytes.entries()) {
+    out.emplace_back(node, bytes);
+  }
+  return out;
+}
+
+TEST(NodeBytes, MatchesAnOrderedMapInlineAndSpilled) {
+  // The std::map<node, bytes> it replaced is the reference: ascending
+  // node order, repeated nodes summed, 0-byte touches kept. Twenty nodes
+  // in scrambled order cross the inline capacity into the spilled form.
+  NodeBytes nodeBytes;
+  std::map<std::size_t, std::uint64_t> reference;
+  for (std::size_t i = 0; i < 60; ++i) {
+    const std::size_t node = (i * 7) % 20;
+    const std::uint64_t bytes = i % 3 == 0 ? 0 : i;
+    nodeBytes.add(node, bytes);
+    reference[node] += bytes;
+    ASSERT_EQ(asPairs(nodeBytes),
+              (std::vector<std::pair<std::size_t, std::uint64_t>>(
+                  reference.begin(), reference.end())))
+        << "after add " << i;
+  }
+  EXPECT_GT(reference.size(), NodeBytes::kInlineNodes);
+}
+
+TEST(NodeBytes, DefaultIsEmpty) {
+  EXPECT_TRUE(NodeBytes{}.entries().empty());
+  EXPECT_TRUE(ExecTrace{}.nodeBytes.entries().empty());
 }
 
 }  // namespace

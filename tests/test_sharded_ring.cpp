@@ -1,14 +1,20 @@
 // Consistent-hash ring tests: routing stability, load balance, minimal
-// disruption on membership change, and the remote/linked cache front-ends'
-// accounting.
+// disruption on membership change, a lockstep differential against the
+// std::map ring (hash_ring_oracle.hpp), and the remote/linked cache
+// front-ends' accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cache/hash_ring.hpp"
 #include "cache/linked_cache.hpp"
 #include "cache/remote_cache.hpp"
+#include "hash_ring_oracle.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
 
 namespace dcache::cache {
 namespace {
@@ -117,6 +123,110 @@ TEST(HashRing, ChurnRestoresExactReplicaSets) {
   for (std::uint64_t k = 0; k < before.size(); ++k) {
     EXPECT_EQ(ring.replicasOf(util::hashU64(k), 2), before[k]);
   }
+}
+
+// ---- Lockstep differential against the std::map ring ----
+
+/// Number of seeded hashes each differential step routes through both rings.
+constexpr std::size_t kSampledHashes = 50000;
+
+/// Both rings must agree on ownerOf and replicasOf(h, 1..4) for `h` in:
+/// kSampledHashes seeded hashes, 0, UINT64_MAX, and every vnode point and
+/// its successor (the lower_bound equality edge).
+void expectSameRouting(const HashRing& flat, const oracle::HashRing& ref,
+                       util::Pcg32& rng, const std::string& step) {
+  ASSERT_EQ(flat.memberCount(), ref.memberCount()) << step;
+  std::vector<std::uint64_t> hashes = {0, UINT64_MAX};
+  for (const std::uint64_t point : ref.points()) {
+    hashes.push_back(point);
+    hashes.push_back(point + 1);
+  }
+  for (std::size_t i = 0; i < kSampledHashes; ++i) {
+    hashes.push_back((static_cast<std::uint64_t>(rng()) << 32) | rng());
+  }
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const std::uint64_t h : hashes) {
+    bool same = flat.ownerOf(h) == ref.ownerOf(h);
+    for (std::size_t n = 1; n <= 4 && same; ++n) {
+      same = flat.replicasOf(h, n) == ref.replicasOf(h, n);
+    }
+    if (!same && mismatches++ == 0) first = std::to_string(h);
+  }
+  ASSERT_EQ(mismatches, 0u) << step << ": first differing hash " << first;
+}
+
+/// Seeded add / remove / re-add / duplicate-add stream over member ids
+/// [0, maxMembers), checking routing after every step.
+void runRingDifferential(std::size_t vnodes, std::size_t maxMembers,
+                         std::size_t steps, std::uint64_t seed) {
+  HashRing flat(vnodes);
+  oracle::HashRing ref(vnodes);
+  util::Pcg32 rng(seed);
+  std::vector<std::size_t> removed;
+  for (std::size_t step = 0; step < steps; ++step) {
+    const auto member =
+        static_cast<std::size_t>(rng.nextBounded(static_cast<std::uint32_t>(maxMembers)));
+    std::string what;
+    switch (rng.nextBounded(4)) {
+      case 0:  // add (a duplicate when already present)
+        what = "add " + std::to_string(member);
+        flat.addMember(member);
+        ref.addMember(member);
+        break;
+      case 1: {  // remove, remembered for a later re-add
+        what = "remove " + std::to_string(member);
+        const bool flatRemoved = flat.removeMember(member);
+        ASSERT_EQ(flatRemoved, ref.removeMember(member)) << what;
+        if (flatRemoved) removed.push_back(member);
+        break;
+      }
+      case 2:  // re-add the most recently removed member
+        if (removed.empty()) continue;
+        what = "re-add " + std::to_string(removed.back());
+        flat.addMember(removed.back());
+        ref.addMember(removed.back());
+        removed.pop_back();
+        break;
+      default:  // duplicate-add of a present member
+        if (!ref.contains(member)) continue;
+        what = "duplicate add " + std::to_string(member);
+        flat.addMember(member);
+        ref.addMember(member);
+        break;
+    }
+    ASSERT_EQ(flat.contains(member), ref.contains(member)) << what;
+    expectSameRouting(flat, ref, rng,
+                      "step " + std::to_string(step) + " (" + what + ")");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(HashRingDifferential, DefaultVnodesMatchMapRing) {
+  runRingDifferential(128, 8, 16, 0x5eed);
+}
+
+TEST(HashRingDifferential, SingleVnodeMatchesMapRing) {
+  // One point per member: every lookup sits next to a wrap or an exact
+  // point, and replica walks cover most of the ring.
+  runRingDifferential(1, 6, 16, 7);
+}
+
+TEST(HashRingDifferential, SparseIdsMatchMapRing) {
+  // Non-contiguous member ids (up to 40) with few vnodes each.
+  runRingDifferential(7, 40, 16, 2027);
+}
+
+TEST(HashRingDifferential, EmptyRingMatchesMapRing) {
+  HashRing flat;
+  oracle::HashRing ref;
+  util::Pcg32 rng(1);
+  expectSameRouting(flat, ref, rng, "empty");
+  flat.addMember(3);
+  ref.addMember(3);
+  ASSERT_TRUE(flat.removeMember(3));
+  ASSERT_TRUE(ref.removeMember(3));
+  expectSameRouting(flat, ref, rng, "emptied");
 }
 
 // ---- Remote / linked cache front-ends over the sim fabric ----
