@@ -1,7 +1,7 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
 // statement execution (including the plan-cache hit path), raw KV engine
-// point gets and prefix scans, and the row codec. The
+// point gets and prefix scans (present and absent), and the row codec. The
 // parse/plan numbers here are the *host* cost of our mini engine; the
 // simulated TiDB front-end charges the calibrated constants documented in
 // core/calibration.hpp instead.
@@ -185,10 +185,10 @@ BENCHMARK(BM_KvEngineRawGet);
 /// Catalog-shaped keyspace: per table a row key plus one to four secondary
 /// index keys under a long shared prefix, compacted into the sealed run,
 /// then a small delta of newer tables the scans must merge in.
-void BM_KvEngineScanPrefix(benchmark::State& state) {
-  constexpr std::uint64_t kSealedTables = 100000;
-  constexpr std::uint64_t kDeltaTables = 500;
-  storage::KvEngine engine;
+constexpr std::uint64_t kSealedTables = 100000;
+constexpr std::uint64_t kDeltaTables = 500;
+
+void loadCatalogShapedEngine(storage::KvEngine& engine) {
   std::uint64_t ts = 0;
   auto loadTable = [&](std::uint64_t t) {
     const std::string id = std::to_string(t);
@@ -204,9 +204,18 @@ void BM_KvEngineScanPrefix(benchmark::State& state) {
   for (std::uint64_t t = kSealedTables; t < kSealedTables + kDeltaTables; ++t) {
     loadTable(t);
   }
+}
+
+/// Scan 4096 table privilege prefixes in rotation, starting from table id
+/// `firstTable`: the loaded tables hold ids below kSealedTables +
+/// kDeltaTables, so ids past that match nothing.
+void scanPrivilegePrefixes(benchmark::State& state, std::uint64_t firstTable,
+                           std::uint64_t tables) {
+  storage::KvEngine engine;
+  loadCatalogShapedEngine(engine);
   std::vector<std::string> prefixes;
   for (std::uint64_t i = 0; i < 4096; ++i) {
-    const std::uint64_t t = (i * 7919) % (kSealedTables + kDeltaTables);
+    const std::uint64_t t = firstTable + (i * 7919) % tables;
     prefixes.push_back("t/privileges/i/securable_id/tbl" + std::to_string(t) +
                        "/");
   }
@@ -220,7 +229,18 @@ void BM_KvEngineScanPrefix(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(rows);
 }
+
+void BM_KvEngineScanPrefix(benchmark::State& state) {
+  scanPrivilegePrefixes(state, 0, kSealedTables + kDeltaTables);
+}
 BENCHMARK(BM_KvEngineScanPrefix);
+
+// The usual case on 2 of a catalog's 3 engines: the table's index entries
+// hash to another engine, so the scan finds nothing.
+void BM_KvEngineScanPrefixAbsent(benchmark::State& state) {
+  scanPrivilegePrefixes(state, kSealedTables + kDeltaTables, kSealedTables);
+}
+BENCHMARK(BM_KvEngineScanPrefixAbsent);
 
 void BM_RowCodecRoundtrip(benchmark::State& state) {
   const TableSchema schema("t",

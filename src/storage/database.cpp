@@ -234,9 +234,8 @@ bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
   return true;
 }
 
-void Database::engineScanPrefix(
-    std::string_view prefix, ExecTrace& trace,
-    const std::function<bool(std::string_view, const StoredValue&)>& fn) {
+void Database::engineScanPrefix(std::string_view prefix, ExecTrace& trace,
+                                ScanFn fn) {
   const StorageCosts& costs = config_.costs;
   for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
     sim::Node& node = kvTier_->node(idx);

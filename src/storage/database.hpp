@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -177,9 +178,7 @@ class Database {
   bool enginePut(std::string_view key, StoredValue value, ExecTrace& trace);
   bool engineDelete(std::string_view key, ExecTrace& trace);
   /// Ordered scan over all shards; fn returns false to stop that shard.
-  void engineScanPrefix(
-      std::string_view prefix, ExecTrace& trace,
-      const std::function<bool(std::string_view, const StoredValue&)>& fn);
+  void engineScanPrefix(std::string_view prefix, ExecTrace& trace, ScanFn fn);
 
   /// Fault injection: a KV node crashed and restarted — its block cache is
   /// cold. Data survives (Raft replication), so reads keep working; they
@@ -230,6 +229,15 @@ class Database {
                    const ExecTrace& trace);
   void syncMemoryMeters(std::size_t nodeIndex);
 
+  /// Plan-cache hasher: word-at-a-time over the SQL text, probed with
+  /// string_view. The cache is never iterated, so its order leaks nowhere.
+  struct PlanTextHash {
+    using is_transparent = void;
+    [[nodiscard]] std::size_t operator()(std::string_view sql) const noexcept {
+      return static_cast<std::size_t>(util::fastHash64(sql));
+    }
+  };
+
   sim::Tier* sqlTier_;
   sim::Tier* kvTier_;
   rpc::Channel* channel_;
@@ -240,8 +248,7 @@ class Database {
   std::map<std::string, TableSchema, std::less<>> schemas_;
   Planner planner_;
   // Plans hold schema pointers and column indices: createTable clears it.
-  std::unordered_map<std::string, QueryPlan, util::TransparentStringHash,
-                     std::equal_to<>>
+  std::unordered_map<std::string, QueryPlan, PlanTextHash, std::equal_to<>>
       planCache_;
   /// The `kv/<key>` storage key of the KV-path statement in flight; valid
   /// only within one readValue/writeValue/versionCheck call.

@@ -1,6 +1,8 @@
 #include "storage/kv_engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -113,6 +115,29 @@ const StoredValue* visibleIn(const std::vector<StoredValue>& chain,
   return nullptr;
 }
 
+/// Length of the longest common prefix of `a` and `b`, compared a word at
+/// a time: sealed neighbours share most of their bytes.
+std::size_t commonPrefixLength(std::string_view a, std::string_view b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t x = 0;
+    std::uint64_t y = 0;
+    std::memcpy(&x, a.data() + i, 8);
+    std::memcpy(&y, b.data() + i, 8);
+    if (x != y) {
+      // The first differing byte holds the lowest differing bit on a
+      // little-endian host, the highest on a big-endian one.
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(x ^ y)
+                          : std::countl_zero(x ^ y);
+      return i + static_cast<std::size_t>(bit) / 8;
+    }
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
 }  // namespace
 
 const StoredValue* KvEngine::get(std::string_view key,
@@ -130,19 +155,12 @@ std::optional<std::uint64_t> KvEngine::latestVersion(
 }
 
 std::size_t KvEngine::sealedLowerBound(std::string_view prefix) const {
-  // First fence at or past `prefix`; the answer lies in the block before it.
-  const auto fence = std::partition_point(
-      fences_.begin(), fences_.end(), [&](FenceRef ref) {
-        return std::string_view(fenceKeys_.data() + ref.offset, ref.length) <
-               prefix;
-      });
-  if (fence == fences_.begin()) return 0;
-  // That block's first key (the fence) is below `prefix`; the next fence,
-  // or the end of the run, is not.
-  const std::size_t first =
-      static_cast<std::size_t>(fence - fences_.begin() - 1) * kFenceStride;
-  std::size_t lo = first + 1;
-  std::size_t hi = std::min(first + kFenceStride, sealed_);
+  if (!prefix.empty() && prefix.back() == kSeparator) {
+    return dirLowerBound(prefix);
+  }
+  // A prefix the directory does not record: binary-search the run.
+  std::size_t lo = 0;
+  std::size_t hi = sealed_;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
     if (keyAt(mid) < prefix) {
@@ -152,6 +170,58 @@ std::size_t KvEngine::sealedLowerBound(std::string_view prefix) const {
     }
   }
   return lo;
+}
+
+std::size_t KvEngine::dirLowerBound(std::string_view prefix) const {
+  if (dir_.empty()) return sealed_;
+  const std::uint64_t hash = util::fastHash64(prefix);
+  const auto tag = static_cast<std::uint32_t>(hash >> 32);
+  for (std::size_t pos = static_cast<std::size_t>(hash) & dirMask_;
+       dir_[pos].handle != kEmptySlot; pos = (pos + 1) & dirMask_) {
+    if (dir_[pos].tag != tag) continue;
+    // A tag match may be another prefix's slot. The position is this
+    // prefix's first key exactly when that key has the prefix and the key
+    // before it does not.
+    const std::size_t first = dir_[pos].handle;
+    if (keyAt(first).starts_with(prefix) &&
+        (first == 0 || !keyAt(first - 1).starts_with(prefix))) {
+      return first;
+    }
+  }
+  return sealed_;  // no sealed key starts with `prefix`
+}
+
+void KvEngine::rebuildDirectory() {
+  // Keys with a common prefix are contiguous in the run, so the prefixes of
+  // a key that are longer than its common prefix with the previous key are
+  // new, and this key is the first that has them. The walk runs twice:
+  // once to count and size the table, once to fill it.
+  const auto forEachNewPrefix = [this](auto&& visit) {
+    std::string_view previous;
+    for (std::size_t first = 0; first < sealed_; ++first) {
+      const std::string_view key = keyAt(first);
+      const std::size_t common = commonPrefixLength(key, previous);
+      for (std::size_t i = key.find(kSeparator, common);
+           i != std::string_view::npos; i = key.find(kSeparator, i + 1)) {
+        visit(key.substr(0, i + 1), first);
+      }
+      previous = key;
+    }
+  };
+  std::size_t prefixes = 0;
+  forEachNewPrefix([&](std::string_view, std::size_t) { ++prefixes; });
+  std::size_t slots = 1024;
+  // Keep the table under 70% load, as the point index.
+  while (prefixes * 10 > slots * 7) slots *= 2;
+  dir_.assign(prefixes == 0 ? 0 : slots, Slot{});
+  dirMask_ = slots - 1;
+  forEachNewPrefix([&](std::string_view prefix, std::size_t first) {
+    const std::uint64_t hash = util::fastHash64(prefix);
+    std::size_t pos = static_cast<std::size_t>(hash) & dirMask_;
+    while (dir_[pos].handle != kEmptySlot) pos = (pos + 1) & dirMask_;
+    dir_[pos] = Slot{static_cast<std::uint32_t>(hash >> 32),
+                     static_cast<std::uint32_t>(first)};
+  });
 }
 
 void KvEngine::sortDelta() const {
@@ -172,9 +242,8 @@ void KvEngine::sortDelta() const {
                      });
 }
 
-std::size_t KvEngine::scanPrefix(
-    std::string_view prefix, std::uint64_t snapshotTs,
-    const std::function<bool(std::string_view, const StoredValue&)>& fn) const {
+std::size_t KvEngine::scanPrefix(std::string_view prefix,
+                                 std::uint64_t snapshotTs, ScanFn fn) const {
   if (deltaUnsorted()) sortDelta();
   // Merge-walk the sealed run and the sorted delta; each side stops at its
   // first key outside the prefix. Keys are unique across the two sides.
@@ -208,38 +277,33 @@ std::size_t KvEngine::scanPrefix(
 void KvEngine::compact() {
   if (deltaUnsorted()) sortDelta();
   if (deltaOrder_.empty()) return;
-  // Merge the sealed run with the sorted delta, then rewrite entries and
-  // key bytes in that order so a scan reads both sequentially.
-  std::vector<Entry> sorted;
-  sorted.reserve(entries_.capacity());  // keeps any reserveKeys() headroom
-  std::vector<char> arena;
-  arena.reserve(arena_.size());
-  const auto append = [&](std::size_t h) {
-    Entry& entry = entries_[h];
-    sorted.push_back(makeEntry(entry.hash, keyOf(entry), arena));
-    sorted.back().chain = std::move(entry.chain);
-  };
-  std::size_t s = 0;
-  auto d = deltaOrder_.begin();
-  while (s < sealed_ || d != deltaOrder_.end()) {
-    if (d == deltaOrder_.end() || (s < sealed_ && keyAt(s) < keyAt(*d))) {
-      append(s++);
-    } else {
-      append(*d++);
+  {
+    // Merge the sealed run with the sorted delta, then rewrite entries and
+    // key bytes in that order so a scan reads both sequentially.
+    std::vector<Entry> sorted;
+    sorted.reserve(entries_.capacity());  // keeps any reserveKeys() headroom
+    std::vector<char> arena;
+    arena.reserve(arena_.size());
+    const auto append = [&](std::size_t h) {
+      Entry& entry = entries_[h];
+      sorted.push_back(makeEntry(entry.hash, keyOf(entry), arena));
+      sorted.back().chain = std::move(entry.chain);
+    };
+    std::size_t s = 0;
+    auto d = deltaOrder_.begin();
+    while (s < sealed_ || d != deltaOrder_.end()) {
+      if (d == deltaOrder_.end() || (s < sealed_ && keyAt(s) < keyAt(*d))) {
+        append(s++);
+      } else {
+        append(*d++);
+      }
     }
-  }
-  entries_.swap(sorted);
-  arena_.swap(arena);
+    entries_.swap(sorted);
+    arena_.swap(arena);
+  }  // the old entries and key bytes are freed before the directory is built
   sealed_ = entries_.size();
   deltaOrder_.clear();
-  fences_.clear();
-  fenceKeys_.clear();
-  for (std::size_t h = 0; h < sealed_; h += kFenceStride) {
-    const std::string_view key = keyAt(h);
-    fences_.push_back(FenceRef{static_cast<std::uint32_t>(fenceKeys_.size()),
-                               static_cast<std::uint32_t>(key.size())});
-    fenceKeys_.insert(fenceKeys_.end(), key.begin(), key.end());
-  }
+  rebuildDirectory();
   // Handles moved; the stored hashes rebuild the index without rehashing.
   rebuildIndex(index_.size());
 }

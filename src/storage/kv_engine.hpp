@@ -12,9 +12,15 @@
 //     and GC trims chains in place.
 //   - index_: an open-addressing point index of {hash tag, entry handle}.
 //     Growth rebuilds it from the stored hashes.
-//   - entries_[0, sealed_) is the sealed run, physically in key order, with
-//     every kFenceStride-th key copied into a small fence array that
-//     scanPrefix binary-searches before a short in-block search.
+//   - entries_[0, sealed_) is the sealed run, physically in key order.
+//   - dir_: the sealed run's prefix directory, built by compact(). For
+//     every '/'-terminated prefix of every sealed key it holds the sealed
+//     position of the first key with that prefix, in {hash tag, position}
+//     slots like index_. Keys sharing a prefix are contiguous in the run,
+//     so a scan of a '/'-terminated prefix starts with one probe: a hit is
+//     verified (the key there has the prefix, the key before it does not)
+//     and a miss proves no sealed key has the prefix. Other prefixes
+//     binary-search the run.
 //   - Entries past sealed_ are the delta: keys created since the last
 //     compaction, in arrival order. A scan sorts new arrivals lazily into
 //     deltaOrder_ and merge-walks it with the sealed run, so callbacks
@@ -29,13 +35,13 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/function_ref.hpp"
 #include "util/hash.hpp"
 
 namespace dcache::storage {
@@ -54,6 +60,10 @@ struct StoredValue {
     return StoredValue{n, 0, std::move(payload), false};
   }
 };
+
+/// Scan callback: return false to stop. Non-owning, so passing a capturing
+/// lambda allocates nothing.
+using ScanFn = util::FunctionRef<bool(std::string_view, const StoredValue&)>;
 
 class KvEngine {
  public:
@@ -81,9 +91,8 @@ class KvEngine {
   /// stop early and must not write to this engine. Returns rows visited.
   /// Not safe to call concurrently with any other call on the same engine:
   /// it may sort the delta in place.
-  std::size_t scanPrefix(
-      std::string_view prefix, std::uint64_t snapshotTs,
-      const std::function<bool(std::string_view, const StoredValue&)>& fn) const;
+  std::size_t scanPrefix(std::string_view prefix, std::uint64_t snapshotTs,
+                         ScanFn fn) const;
 
   /// Drop all but the newest `keep` versions of every key. Returns number
   /// of versions reclaimed.
@@ -123,22 +132,16 @@ class KvEngine {
   };
   static_assert(sizeof(Entry) == 64, "an entry is one cache line");
 
-  struct FenceRef {
-    std::uint32_t offset = 0;  // into fenceKeys_
-    std::uint32_t length = 0;
-  };
-
-  /// Point-index slot: the high half of the key hash and an entries_
-  /// position. The low hash bits pick the home slot.
+  /// Point-index and directory slot: the high half of the key (or prefix)
+  /// hash and an entries_ position. The low hash bits pick the home slot.
   struct Slot {
     std::uint32_t tag = 0;
     std::uint32_t handle = kEmptySlot;
   };
 
   static constexpr std::uint32_t kEmptySlot = UINT32_MAX;
-  /// Sealed keys per fence: scanPrefix binary-searches the fences, then
-  /// the block of this many entries the prefix falls in.
-  static constexpr std::size_t kFenceStride = 16;
+  /// The separator that ends every prefix the directory records.
+  static constexpr char kSeparator = '/';
   /// Smallest sorted delta that put() folds into the sealed run.
   static constexpr std::size_t kMinFoldKeys = 1024;
 
@@ -163,8 +166,14 @@ class KvEngine {
   std::uint32_t createEntry(std::uint64_t hash, std::string_view key);
   void indexPlace(std::uint64_t hash, std::uint32_t handle);
   void rebuildIndex(std::size_t slots);
-  /// First sealed position whose key is >= `prefix`.
+  /// First sealed position whose key is >= `prefix`; for a prefix ending
+  /// in kSeparator that no sealed key has, sealed_ instead.
   [[nodiscard]] std::size_t sealedLowerBound(std::string_view prefix) const;
+  /// Directory lookup: the first sealed position whose key starts with
+  /// `prefix` (which ends in kSeparator), or sealed_ if none does.
+  [[nodiscard]] std::size_t dirLowerBound(std::string_view prefix) const;
+  /// Rebuild dir_ from the sealed run.
+  void rebuildDirectory();
   [[nodiscard]] bool deltaUnsorted() const noexcept {
     return sealed_ + deltaOrder_.size() != entries_.size();
   }
@@ -176,10 +185,9 @@ class KvEngine {
   std::vector<Slot> index_;  // power-of-two linear probing
   std::size_t indexMask_ = 0;
   std::size_t sealed_ = 0;  // entries_[0, sealed_) are in key order
-  // Key of every kFenceStride-th sealed entry, copied into one small
-  // contiguous buffer so the binary search stays in cache.
-  std::vector<FenceRef> fences_;
-  std::vector<char> fenceKeys_;
+  // Prefix directory of the sealed run; power-of-two linear probing.
+  std::vector<Slot> dir_;
+  std::size_t dirMask_ = 0;
   // Delta handles in key order: entries_[sealed_, sealed_ + size) sorted
   // by the last scan. Mutable because a const scan sorts lazily.
   mutable std::vector<std::uint32_t> deltaOrder_;

@@ -6,6 +6,10 @@
 // takes compact() calls interleaved with new keys, so scans straddle the
 // sealed run and the delta. Every result, every scan's callback sequence
 // and the keyCount/liveBytes/writeCount counters must agree at every step.
+// Scans of '/'-terminated prefixes start from the sealed run's prefix
+// directory, so the streams cut prefixes exactly after a '/' and include
+// keys with "//" and a leading '/'; a dedicated case sweeps the separator
+// edge cases before and after compact() and a put() fold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -73,14 +77,18 @@ void expectSameCounters(const KvEngine& flat, const oracle::KvEngine& map,
 }
 
 /// Catalog-shaped keys (row and secondary-index keys sharing long
-/// prefixes), plus keys that are prefixes of one another and bytes above
-/// 0x7f so byte-wise (unsigned) ordering is exercised.
+/// prefixes), plus keys that are prefixes of one another, keys with "//"
+/// or a leading '/', and bytes above 0x7f so byte-wise (unsigned) ordering
+/// is exercised.
 std::string makeKey(util::Pcg32& rng, std::uint32_t keySpace) {
   static const char* const kTables[] = {"privileges", "tables", "lineage",
                                         "t", "tab"};
   const std::uint32_t id = rng.next() % keySpace;
   const std::string table = kTables[rng.next() % 5];
-  switch (rng.next() % 6) {
+  switch (rng.next() % 7) {
+    case 6:
+      return (id % 2 == 0 ? "/" : "t//") + table +
+             std::string(id % 3, '/') + std::to_string(id % 10);
     case 0:
     case 1:
       return "t/" + table + "/r/" + std::to_string(id);
@@ -99,10 +107,19 @@ std::string makeKey(util::Pcg32& rng, std::uint32_t keySpace) {
   }
 }
 
-/// A prefix to scan: a random cut of a random key (often mid-component,
-/// often the empty prefix's neighbours "t/" and "t/tab").
+/// A prefix to scan: half the time a cut exactly after one of a random
+/// key's '/' bytes (the directory's prefixes), otherwise a random cut
+/// (often mid-component, often the empty prefix's neighbours "t/" and
+/// "t/tab").
 std::string makePrefix(util::Pcg32& rng, std::uint32_t keySpace) {
   const std::string key = makeKey(rng, keySpace);
+  if (rng.next() % 2 == 0) {
+    std::vector<std::size_t> cuts;
+    for (std::size_t i = 0; i < key.size(); ++i) {
+      if (key[i] == '/') cuts.push_back(i + 1);
+    }
+    if (!cuts.empty()) return key.substr(0, cuts[rng.next() % cuts.size()]);
+  }
   return key.substr(0, rng.next() % (key.size() + 1));
 }
 
@@ -257,6 +274,90 @@ TEST(KvEngineDifferential, BulkLoadCompactThenStraddlingInserts) {
               scan(map, "t/privileges/", snapshot, 0).calls)
         << "snapshot " << snapshot;
   }
+  expectSameCounters(flat, map, 0);
+}
+
+/// Keys at the separator edge cases: "//", a leading '/', whole keys ending
+/// in '/', keys that are '/'-prefixes of other keys, neighbours that share
+/// all but the last component, and bytes above 0x7f.
+const std::vector<std::string>& separatorKeys() {
+  static const std::vector<std::string> keys = {
+      "/", "//", "///", "/a", "/a/", "/a/b", "//a/", "//a//b",
+      "a/", "a//", "a//b", "a/b", "a/b/", "a/b//", "a/b/c", "a/b/c/",
+      "a/b/c//d", "a/b0", "a/bc/", "a/bc/d", "ab/", "ab/c",
+      "t/tab/", "t/tab/r/1", "t/tab//r/2", "t/tables/r/1", "t/tables/r/12",
+      "t/privileges/i/securable_id/tbl1/", "t/privileges/i/securable_id/tbl1/7",
+      "t/privileges/i/securable_id/tbl10/3", "t/privileges/i/securable_id/tbl2",
+      "x\x7f/", "x\x80/", "x\x80/y", "x\xff//"};
+  return keys;
+}
+
+/// Every prefix of every separator key cut exactly after a '/', every
+/// whole key, '/'-terminated prefixes that no key has, and a few that do
+/// not end in '/'.
+std::vector<std::string> separatorPrefixes() {
+  std::vector<std::string> prefixes = {
+      "", "b/", "a/c/", "a/b/c/d/", "a/b/c///", "a///", "////", "/b/",
+      "t/tab/x/", "t/tables/r/1/", "t/privileges/i/securable_id/tbl3/",
+      "t/privileges/i/securable_id/tbl1//", "x\x80//", "\xff/", "0/",
+      "a", "a/b", "t/t", "/a/b/c", "x\x80"};
+  for (const std::string& key : separatorKeys()) {
+    prefixes.push_back(key);
+    for (std::size_t i = 0; i < key.size(); ++i) {
+      if (key[i] == '/') prefixes.push_back(key.substr(0, i + 1));
+    }
+  }
+  return prefixes;
+}
+
+TEST(KvEngineDifferential, SeparatorPrefixesAcrossCompactAndFold) {
+  KvEngine flat;
+  oracle::KvEngine map;
+  std::uint64_t ts = 0;
+  auto putBoth = [&](const std::string& key) {
+    ++ts;
+    ASSERT_EQ(flat.put(key, StoredValue::sized(ts % 89), ts),
+              map.put(key, StoredValue::sized(ts % 89), ts));
+  };
+  auto expectSameScans = [&](const char* phase) {
+    for (const std::string& prefix : separatorPrefixes()) {
+      for (const std::size_t stopAfter : {std::size_t{0}, std::size_t{1}}) {
+        const ScanResult a = scan(flat, prefix, KvEngine::kLatest, stopAfter);
+        const ScanResult b = scan(map, prefix, KvEngine::kLatest, stopAfter);
+        ASSERT_EQ(a.visited, b.visited) << phase << " prefix " << prefix;
+        ASSERT_EQ(a.calls, b.calls) << phase << " prefix " << prefix;
+      }
+    }
+  };
+  const std::vector<std::string>& keys = separatorKeys();
+  // Half the keys, never compacted: every scan walks the delta.
+  for (std::size_t i = 0; i < keys.size(); i += 2) putBoth(keys[i]);
+  expectSameScans("delta only");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  flat.compact();
+  expectSameScans("after compact");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // The other half lands in the delta, between and around sealed keys.
+  for (std::size_t i = 1; i < keys.size(); i += 2) putBoth(keys[i]);
+  expectSameScans("sealed and delta");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  flat.compact();
+  expectSameScans("all sealed");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  // Grow a sorted delta past the fold stride, then one more new key makes
+  // put() fold it into the sealed run. The filler keys add prefixes the
+  // directory must pick up ("a/b/<n>/...") in front of sealed ones.
+  for (int n = 0; n < 1100; ++n) {
+    putBoth("a/b/" + std::to_string(n) + (n % 3 == 0 ? "/" : "/x"));
+  }
+  expectSameScans("before fold");  // sorts the delta
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+  putBoth("a/b/c/");  // an existing key: a new version, no fold
+  putBoth("a/a/");    // a new key: folds the delta
+  ++ts;
+  ASSERT_EQ(flat.erase("a/b/", ts), map.erase("a/b/", ts));
+  expectSameScans("after fold");
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
   expectSameCounters(flat, map, 0);
 }
 

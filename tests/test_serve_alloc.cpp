@@ -2,8 +2,9 @@
 // replaces the global operator new/delete with counting versions, so it
 // must stay its own test binary: after populate and warmup, a KV-path
 // storage read statement and a Linked read hit through Deployment::serve
-// must not allocate at all. Writes are out of scope: MVCC version chains
-// grow by amortized appends.
+// must not allocate at all, and neither may an engine prefix scan after
+// populate and compact. Writes are out of scope: MVCC version chains grow
+// by amortized appends.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -113,6 +114,43 @@ TEST(ServeAlloc, KvReadValueOnResidentKeysAllocatesNothing) {
   }
   const std::size_t allocations = gAllocations.load() - before;
   EXPECT_EQ(found, kMeasuredOps);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(ServeAlloc, EngineScanAllocatesNothing) {
+  sim::Tier sqlTier("sql", sim::TierKind::kSqlFrontend, 3);
+  sim::Tier kvTier("kv", sim::TierKind::kKvStorage, 3);
+  sim::NetworkModel network;
+  rpc::Channel channel(network, rpc::SerializationModel{});
+  storage::Database db(sqlTier, kvTier, channel);
+  db.createTable(storage::TableSchema(
+      "privileges",
+      {storage::Column{"id", storage::ColumnType::kInt},
+       storage::Column{"securable_id", storage::ColumnType::kString}},
+      0, {1}));
+  for (std::int64_t id = 0; id < static_cast<std::int64_t>(kResidentKeys);
+       ++id) {
+    db.loadRow("privileges",
+               storage::Row{{id, "tbl" + std::to_string(id % 100)}});
+  }
+  db.compact();
+  const std::string present =
+      storage::Database::indexPrefix("privileges", "securable_id", "tbl7");
+  const std::string absent =
+      storage::Database::indexPrefix("privileges", "securable_id", "tbl700");
+
+  std::size_t rows = 0;
+  const std::size_t before = gAllocations.load();
+  for (std::size_t i = 0; i < kMeasuredOps; ++i) {
+    storage::ExecTrace trace;
+    db.engineScanPrefix(i % 2 == 0 ? present : absent, trace,
+                        [&rows](std::string_view, const storage::StoredValue&) {
+                          ++rows;
+                          return true;
+                        });
+  }
+  const std::size_t allocations = gAllocations.load() - before;
+  EXPECT_EQ(rows, kMeasuredOps / 2 * (kResidentKeys / 100));
   EXPECT_EQ(allocations, 0u);
 }
 
