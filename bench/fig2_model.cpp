@@ -186,6 +186,8 @@ int main(int argc, char** argv) {
     }
   }
   if (!benchOptions.benchJsonOut.empty()) {
+    // The Section-4 model is analytic: it serves no simulated ops and runs
+    // no cells, so its sidecar records wall time with ops and cells at 0.
     bench::writeBenchJson(benchOptions, {});
   }
   return 0;

@@ -151,7 +151,9 @@ int main(int argc, char** argv) {
     }
   }
   if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
+    // Each of the two panel cells generates kOps trace ops.
+    bench::writeBenchJson(benchOptions, 2 * static_cast<std::uint64_t>(kOps),
+                          2);
   }
   return 0;
 }

@@ -99,7 +99,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!benchOptions.benchJsonOut.empty()) {
-    bench::writeBenchJson(benchOptions, {});
+    // Cells: the two scripted interleavings (one trial each) and the sweep
+    // rows, each of which runs its trials unfenced and then fenced.
+    std::uint64_t trials = 2;
+    for (const SweepRow& row : rows) trials += 2 * row.trials;
+    bench::writeBenchJson(benchOptions, trials, 2 + rows.size());
   }
   return 0;
 }

@@ -1,7 +1,8 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
 // statement execution (including the plan-cache hit path), raw KV engine
-// point gets and prefix scans (present and absent), and the row codec. The
+// point gets and prefix scans (present and absent), the row codec, and the
+// rich-object assembly those statements serve (getTable on Base). The
 // parse/plan numbers here are the *host* cost of our mini engine; the
 // simulated TiDB front-end charges the calibrated constants documented in
 // core/calibration.hpp instead.
@@ -11,11 +12,14 @@
 #include <string>
 #include <vector>
 
+#include "core/deployment.hpp"
+#include "richobject/assembler.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/sql_parser.hpp"
+#include "workload/uc_trace.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -256,5 +260,38 @@ void BM_RowCodecRoundtrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RowCodecRoundtrip);
+
+/// Assembler::getTable on a populated 20K-table catalog (Base: every call
+/// issues its up-to-8 SQL statements and composes the object), with table
+/// ids drawn from the UC trace's reads. One warm pass over the ids first,
+/// so block caches and reused buffers are at their working size.
+void BM_AssemblerGetTable(benchmark::State& state) {
+  workload::UcTraceConfig traceConfig;
+  traceConfig.numTables = 20000;
+  workload::UcTraceWorkload trace(traceConfig);
+  core::DeploymentConfig config;
+  config.architecture = core::Architecture::kBase;
+  core::Deployment deployment(config);
+  deployment.populateCatalog(trace);
+  richobject::Assembler assembler(*deployment.catalogStore(),
+                                  config.calibration.app);
+  sim::Node& app = deployment.appTier().node(0);
+  std::vector<std::uint64_t> ids;
+  while (ids.size() < 4096) {
+    const workload::Op op = trace.next();
+    if (op.isRead()) ids.push_back(op.keyIndex);
+  }
+  std::size_t statements = 0;
+  for (const std::uint64_t id : ids) {
+    statements += assembler.getTable(app, id).statementsIssued;
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    statements += assembler.getTable(app, ids[i]).statementsIssued;
+    i = (i + 1) % ids.size();
+  }
+  benchmark::DoNotOptimize(statements);
+}
+BENCHMARK(BM_AssemblerGetTable);
 
 }  // namespace

@@ -28,7 +28,7 @@ void inspectOneObject(core::Deployment& deployment) {
     std::puts("getTable(7) failed");
     return;
   }
-  const richobject::RichTableObject& object = result.object;
+  const richobject::RichTableObject& object = *result.object;
   std::printf(
       "getTable(7) -> %s.%s.%s (format=%s, owner=%s)\n"
       "  assembled from %zu SQL statements, %llu bytes read\n"

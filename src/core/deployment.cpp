@@ -1,6 +1,6 @@
 #include "core/deployment.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 #include "rpc/wire_size.hpp"
 #include "workload/workload.hpp"
@@ -12,17 +12,15 @@ namespace {
 // caller's scratch string so steady state allocates nothing.
 
 void objectKeyTo(std::uint64_t tableId, std::string& out) {
-  char buf[32];
-  const int n = std::snprintf(buf, sizeof buf, "obj:tbl%llu",
-                              static_cast<unsigned long long>(tableId));
-  out.assign(buf, static_cast<std::size_t>(n));
+  char buf[32] = "obj:tbl";
+  constexpr std::size_t kPrefix = 7;
+  char* end = std::to_chars(buf + kPrefix, buf + sizeof buf, tableId).ptr;
+  out.assign(buf, end);
 }
 
 void tablePkTo(std::uint64_t tableId, std::string& out) {
   char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%llu",
-                              static_cast<unsigned long long>(tableId));
-  out.assign(buf, static_cast<std::size_t>(n));
+  out.assign(buf, std::to_chars(buf, buf + sizeof buf, tableId).ptr);
 }
 
 /// Triage cost of turning a request away at admission control: parse the
@@ -792,7 +790,7 @@ Deployment::OpResult Deployment::serveObjectRead(const workload::Op& op) {
     counters_.statementsIssued += assembled.statementsIssued;
     result.latencyMicros += assembled.latencyMicros;
     if (!assembled.ok) return;
-    servedBytes = assembled.object.approximateSize();
+    servedBytes = assembled.object->approximateSize();
     tablePkTo(op.keyIndex, pkScratch_);
     const auto version = db_->peekRowVersion("tables", pkScratch_).value_or(0);
     if (remote_) {

@@ -5,24 +5,9 @@
 #include "storage/row.hpp"
 
 namespace dcache::richobject {
-namespace {
 
-using storage::Row;
+using storage::RowView;
 using storage::Value;
-using storage::valueToInt;
-using storage::valueToString;
-
-[[nodiscard]] std::uint64_t rowsBytes(const storage::Database::QueryResult& r,
-                                      const storage::TableSchema& schema) {
-  std::uint64_t bytes = 0;
-  for (const Row& row : r.rows) {
-    bytes += storage::encodedRowSize(schema, row) +
-             storage::declaredPayloadBytes(schema, row);
-  }
-  return bytes;
-}
-
-}  // namespace
 
 Assembler::Assembler(CatalogStore& store, AppCosts costs)
     : store_(&store), costs_(costs) {}
@@ -30,21 +15,21 @@ Assembler::Assembler(CatalogStore& store, AppCosts costs)
 Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
                                               std::uint64_t tableId) {
   GetTableResult result;
+  RichTableObject& object = object_;
+  object.clear();
   storage::Database& db = store_->db();
   const std::size_t budget =
       std::clamp<std::size_t>(store_->trace().statementsFor(tableId), 1, 8);
 
-  auto issue = [&](std::string_view sql, std::span<const Value> params,
-                   const char* table) -> storage::Database::QueryResult {
+  // Each statement's rows are views valid until the next statement, so
+  // every step copies what it needs into the object before the next issue.
+  auto issue = [&](std::string_view sql, std::span<const Value> params)
+      -> storage::Database::QueryResult {
     appNode.charge(sim::CpuComponent::kRequestPrep, costs_.requestPrepMicros);
     auto r = db.exec(appNode, sql, params);
     ++result.statementsIssued;
     result.latencyMicros += r.latencyMicros;
-    if (r.ok) {
-      if (const auto* schema = db.schema(table)) {
-        result.bytesRead += rowsBytes(r, *schema);
-      }
-    }
+    if (r.ok) result.bytesRead += r.storedBytes;
     return r;
   };
 
@@ -53,78 +38,83 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 1. The table row itself (always issued).
   {
     const Value params[] = {Value{id}};
-    auto r = issue("SELECT * FROM tables WHERE id = ?", params, "tables");
+    const auto r = issue("SELECT * FROM tables WHERE id = ?", params);
     if (!r.ok || r.rows.empty()) return result;  // unknown table
-    const Row& row = r.rows.front();
-    result.object.table =
-        TableInfo{valueToInt(row.at(0)), valueToInt(row.at(1)),
-                  valueToString(row.at(2)), valueToString(row.at(3)),
-                  valueToString(row.at(4)), valueToInt(row.at(5)),
-                  valueToInt(row.at(6))};
+    const RowView& row = r.rows.front();
+    TableInfo& table = object.table;
+    table.id = row.intAt(0);
+    table.schemaId = row.intAt(1);
+    table.name.assign(row.stringAt(2));
+    table.owner.assign(row.stringAt(3));
+    table.format.assign(row.stringAt(4));
+    table.dataBytes = row.intAt(5);
+    table.version = row.intAt(6);
   }
 
   // 2. Parent schema.
   if (result.statementsIssued < budget) {
-    const Value params[] = {Value{result.object.table.schemaId}};
-    auto r = issue("SELECT * FROM schemas WHERE id = ?", params, "schemas");
+    const Value params[] = {Value{object.table.schemaId}};
+    const auto r = issue("SELECT * FROM schemas WHERE id = ?", params);
     if (r.ok && !r.rows.empty()) {
-      const Row& row = r.rows.front();
-      result.object.schema =
-          SchemaInfo{valueToInt(row.at(0)), valueToInt(row.at(1)),
-                     valueToString(row.at(2)), valueToString(row.at(3))};
+      const RowView& row = r.rows.front();
+      object.schema.id = row.intAt(0);
+      object.schema.catalogId = row.intAt(1);
+      object.schema.name.assign(row.stringAt(2));
+      object.schema.owner.assign(row.stringAt(3));
     }
   }
 
   // 3. Parent catalog.
   if (result.statementsIssued < budget) {
-    const Value params[] = {Value{result.object.schema.catalogId}};
-    auto r = issue("SELECT * FROM catalogs WHERE id = ?", params, "catalogs");
+    const Value params[] = {Value{object.schema.catalogId}};
+    const auto r = issue("SELECT * FROM catalogs WHERE id = ?", params);
     if (r.ok && !r.rows.empty()) {
-      const Row& row = r.rows.front();
-      result.object.catalog =
-          CatalogInfo{valueToInt(row.at(0)), valueToInt(row.at(1)),
-                      valueToString(row.at(2)), valueToString(row.at(3))};
+      const RowView& row = r.rows.front();
+      object.catalog.id = row.intAt(0);
+      object.catalog.metastoreId = row.intAt(1);
+      object.catalog.name.assign(row.stringAt(2));
+      object.catalog.owner.assign(row.stringAt(3));
     }
   }
+
+  auto addPrivileges = [&](const storage::Database::QueryResult& r,
+                           SecurableLevel level) {
+    if (!r.ok) return;
+    for (const RowView& row : r.rows) {
+      Privilege& grant = object.privileges.emplace_back();
+      grant.level = level;
+      grant.principal.assign(row.stringAt(2));
+      grant.action.assign(row.stringAt(3));
+    }
+  };
 
   // 4. Table-level privileges.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{CatalogStore::tableSecurable(tableId)}};
-    auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params,
-                   "privileges");
-    if (r.ok) {
-      for (const Row& row : r.rows) {
-        result.object.privileges.push_back(
-            Privilege{SecurableLevel::kTable, valueToString(row.at(2)),
-                      valueToString(row.at(3))});
-      }
-    }
+    addPrivileges(
+        issue("SELECT * FROM privileges WHERE securable_id = ?", params),
+        SecurableLevel::kTable);
   }
 
   // 5. Inherited catalog-level privileges (downward inheritance source).
   if (result.statementsIssued < budget) {
     const Value params[] = {
-        Value{CatalogStore::catalogSecurable(result.object.catalog.id)}};
-    auto r = issue("SELECT * FROM privileges WHERE securable_id = ?", params,
-                   "privileges");
-    if (r.ok) {
-      for (const Row& row : r.rows) {
-        result.object.privileges.push_back(
-            Privilege{SecurableLevel::kCatalog, valueToString(row.at(2)),
-                      valueToString(row.at(3))});
-      }
-    }
+        Value{CatalogStore::catalogSecurable(object.catalog.id)}};
+    addPrivileges(
+        issue("SELECT * FROM privileges WHERE securable_id = ?", params),
+        SecurableLevel::kCatalog);
   }
 
   // 6. Constraints.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{id}};
-    auto r = issue("SELECT * FROM constraints WHERE table_id = ?", params,
-                   "constraints");
+    const auto r =
+        issue("SELECT * FROM constraints WHERE table_id = ?", params);
     if (r.ok) {
-      for (const Row& row : r.rows) {
-        result.object.constraints.push_back(Constraint{
-            valueToString(row.at(2)), valueToString(row.at(3))});
+      for (const RowView& row : r.rows) {
+        Constraint& constraint = object.constraints.emplace_back();
+        constraint.kind.assign(row.stringAt(2));
+        constraint.definition.assign(row.stringAt(3));
       }
     }
   }
@@ -132,12 +122,12 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 7. Lineage.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{id}};
-    auto r =
-        issue("SELECT * FROM lineage WHERE table_id = ?", params, "lineage");
+    const auto r = issue("SELECT * FROM lineage WHERE table_id = ?", params);
     if (r.ok) {
-      for (const Row& row : r.rows) {
-        result.object.lineage.push_back(
-            LineageEdge{valueToInt(row.at(2)), valueToString(row.at(3))});
+      for (const RowView& row : r.rows) {
+        LineageEdge& edge = object.lineage.emplace_back();
+        edge.upstreamTableId = row.intAt(2);
+        edge.kind.assign(row.stringAt(3));
       }
     }
   }
@@ -145,12 +135,11 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
   // 8. Properties.
   if (result.statementsIssued < budget) {
     const Value params[] = {Value{id}};
-    auto r = issue("SELECT * FROM properties WHERE table_id = ?", params,
-                   "properties");
+    const auto r =
+        issue("SELECT * FROM properties WHERE table_id = ?", params);
     if (r.ok) {
-      for (const Row& row : r.rows) {
-        result.object.properties.emplace(valueToString(row.at(2)),
-                                         valueToString(row.at(3)));
+      for (const RowView& row : r.rows) {
+        object.properties.emplace(row.stringAt(2), row.stringAt(3));
       }
     }
   }
@@ -165,6 +154,7 @@ Assembler::GetTableResult Assembler::getTable(sim::Node& appNode,
           costs_.composePerByteMicros * static_cast<double>(result.bytesRead));
 
   result.ok = true;
+  result.object = &object;
   return result;
 }
 
@@ -175,13 +165,15 @@ double Assembler::updateTable(sim::Node& appNode, std::uint64_t tableId) {
   // Version bump matches how the production service invalidates: rewrite
   // the row (blob and all) with a new version.
   const Value params[] = {Value{id}};
-  auto read = db.exec(appNode, "SELECT * FROM tables WHERE id = ?", params);
+  const auto read =
+      db.exec(appNode, "SELECT * FROM tables WHERE id = ?", params);
   double latency = read.latencyMicros;
   if (!read.ok || read.rows.empty()) return latency;
-  const Row& row = read.rows.front();
+  // Read the version before the UPDATE: it invalidates the row view.
+  const std::int64_t version = read.rows.front().intAt(6);
 
   appNode.charge(sim::CpuComponent::kRequestPrep, costs_.requestPrepMicros);
-  const Value updateParams[] = {Value{valueToInt(row.at(6)) + 1}, Value{id}};
+  const Value updateParams[] = {Value{version + 1}, Value{id}};
   auto write = db.exec(
       appNode, "UPDATE tables SET version = ? WHERE id = ?", updateParams);
   latency += write.latencyMicros;

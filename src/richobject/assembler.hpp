@@ -27,7 +27,9 @@ class Assembler {
 
   struct GetTableResult {
     bool ok = false;
-    RichTableObject object;
+    /// The assembled object, in the assembler's scratch: valid until the
+    /// next getTable or updateTable on this assembler.
+    const RichTableObject* object = nullptr;
     std::size_t statementsIssued = 0;
     std::uint64_t bytesRead = 0;
     double latencyMicros = 0.0;
@@ -37,6 +39,7 @@ class Assembler {
   /// `trace().statementsFor(tableId)` statements (clamped to [1, 8]) from
   /// `appNode`. Fewer statements means a leaner object (some satellites
   /// skipped) — matching how production read paths grow logic over time.
+  /// The object is built into a scratch object reused across calls.
   GetTableResult getTable(sim::Node& appNode, std::uint64_t tableId);
 
   /// Update path: bump the table row version and rewrite its blob; single
@@ -48,6 +51,7 @@ class Assembler {
  private:
   CatalogStore* store_;
   AppCosts costs_;
+  RichTableObject object_;  // getTable's result, rebuilt in place
 };
 
 }  // namespace dcache::richobject

@@ -1,6 +1,36 @@
 #include "richobject/entities.hpp"
 
+#include <algorithm>
+
 namespace dcache::richobject {
+
+bool PropertyMap::emplace(std::string_view key, std::string_view value) {
+  const auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), key,
+      [](const value_type& entry, std::string_view k) {
+        return entry.first < k;
+      });
+  if (it != entries_.end() && it->first == key) return false;
+  entries_.emplace(it, key, value);
+  return true;
+}
+
+void RichTableObject::clear() noexcept {
+  table.id = table.schemaId = table.dataBytes = table.version = 0;
+  table.name.clear();
+  table.owner.clear();
+  table.format.clear();
+  schema.id = schema.catalogId = 0;
+  schema.name.clear();
+  schema.owner.clear();
+  catalog.id = catalog.metastoreId = 0;
+  catalog.name.clear();
+  catalog.owner.clear();
+  privileges.clear();
+  constraints.clear();
+  lineage.clear();
+  properties.clear();
+}
 
 std::string_view securableLevelName(SecurableLevel level) noexcept {
   switch (level) {

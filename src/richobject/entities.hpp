@@ -7,9 +7,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dcache::richobject {
@@ -57,6 +57,32 @@ struct LineageEdge {
   std::string kind;  // "read", "transform"
 };
 
+/// A table's free-form properties: a flat vector sorted by key. It keeps
+/// std::map's emplace semantics (the first value for a key wins, iteration
+/// runs in key order), which approximateSize and the object codec rely on,
+/// without a node allocation per entry.
+class PropertyMap {
+ public:
+  using value_type = std::pair<std::string, std::string>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  /// Insert unless `key` is present; true if inserted.
+  bool emplace(std::string_view key, std::string_view value);
+  void clear() noexcept { entries_.clear(); }
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
+  [[nodiscard]] const_iterator begin() const noexcept {
+    return entries_.begin();
+  }
+  [[nodiscard]] const_iterator end() const noexcept { return entries_.end(); }
+
+  friend bool operator==(const PropertyMap&, const PropertyMap&) = default;
+
+ private:
+  std::vector<value_type> entries_;
+};
+
 /// The fully materialized rich object a getTable returns.
 struct RichTableObject {
   TableInfo table;
@@ -65,7 +91,11 @@ struct RichTableObject {
   std::vector<Privilege> privileges;
   std::vector<Constraint> constraints;
   std::vector<LineageEdge> lineage;
-  std::map<std::string, std::string> properties;
+  PropertyMap properties;
+
+  /// Empty every part, keeping the capacity of its strings and vectors so
+  /// the object can be rebuilt without allocating.
+  void clear() noexcept;
 
   /// Application-level permission check with downward inheritance: a grant
   /// at catalog or schema level covers the table; owners of any ancestor

@@ -78,6 +78,8 @@ class WireDecoder {
   };
 
   [[nodiscard]] bool done() const noexcept { return pos_ >= size_; }
+  /// Bytes consumed so far.
+  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
 
   [[nodiscard]] std::optional<Field> readTag();
   [[nodiscard]] std::optional<std::uint64_t> readVarint();

@@ -42,15 +42,18 @@ Database::Database(sim::Tier& sqlTier, sim::Tier& kvTier,
 
 std::string Database::rowKey(std::string_view table, std::string_view pk) {
   std::string key;
-  key.reserve(2 + table.size() + 3 + pk.size());
-  key.append("t/").append(table).append("/r/").append(pk);
+  rowKeyTo(table, pk, key);
   return key;
 }
 
+void Database::rowKeyTo(std::string_view table, std::string_view pk,
+                        std::string& out) {
+  out.reserve(2 + table.size() + 3 + pk.size());
+  out.assign("t/").append(table).append("/r/").append(pk);
+}
+
 std::string Database::rowPrefix(std::string_view table) {
-  std::string key;
-  key.append("t/").append(table).append("/r/");
-  return key;
+  return rowKey(table, {});
 }
 
 std::string Database::indexKey(std::string_view table, std::string_view column,
@@ -64,9 +67,14 @@ std::string Database::indexPrefix(std::string_view table,
                                   std::string_view column,
                                   std::string_view value) {
   std::string key;
-  key.append("t/").append(table).append("/i/").append(column).append("/");
-  key.append(value).append("/");
+  indexPrefixTo(table, column, value, key);
   return key;
+}
+
+void Database::indexPrefixTo(std::string_view table, std::string_view column,
+                             std::string_view value, std::string& out) {
+  out.assign("t/").append(table).append("/i/").append(column).append("/");
+  out.append(value).append("/");
 }
 
 std::string Database::kvKey(std::string_view key) {
@@ -237,11 +245,15 @@ bool Database::engineDelete(std::string_view key, ExecTrace& trace) {
 void Database::engineScanPrefix(std::string_view prefix, ExecTrace& trace,
                                 ScanFn fn) {
   const StorageCosts& costs = config_.costs;
+  // Every engine probes its directory with the same hash: compute it once
+  // and start the engines' slot loads together.
+  const std::uint64_t prefixHash = util::fastHash64(prefix);
+  for (const KvEngine& engine : engines_) engine.prefetchPrefix(prefixHash);
   for (std::size_t idx = 0; idx < engines_.size(); ++idx) {
     sim::Node& node = kvTier_->node(idx);
     if (config_.consistentReads) raft_.validateLease(idx);
     engines_[idx].scanPrefix(
-        prefix, KvEngine::kLatest,
+        prefix, prefixHash, KvEngine::kLatest,
         [&](std::string_view key, const StoredValue& stored) {
           const double execMicros =
               costs.execPerRowMicros +
@@ -319,7 +331,7 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
   }
 
   ExecTrace trace;
-  Executor executor(*this);
+  Executor executor(*this, execScratch_);
   Executor::Outcome outcome = executor.run(*plan, params, trace);
   if (!outcome.ok) {
     result.error = outcome.error;
@@ -333,17 +345,29 @@ Database::QueryResult Database::exec(sim::Node& client, std::string_view sql,
                       static_cast<double>(outcome.rows.size()));
 
   std::uint64_t requestBytes = sql.size();
-  for (const Value& p : params) requestBytes += valueToString(p).size() + 2;
+  for (const Value& p : params) requestBytes += valueTextSize(p) + 2;
   std::uint64_t responseBytes = 16;
   const TableSchema* outSchema = plan->primary.schema;
-  for (const Row& row : outcome.rows) {
-    // Projection can mix schemas; approximate with the primary schema's
-    // encoding, which the projected rows were sized from.
-    responseBytes += outSchema ? encodedRowSize(*outSchema, row) + 3 : 32;
+  const bool selectStar = plan->projection.empty();
+  for (const RowView& row : outcome.rows) {
+    // A row is priced at its encodedRowSize under the primary schema. A
+    // canonical stored row is exactly that long. Projection can mix
+    // schemas; it is approximated with the primary schema's encoding, which
+    // the projected rows were sized from.
+    if (!outSchema) {
+      responseBytes += 32;
+    } else if (selectStar && row.canonical()) {
+      responseBytes += row.bytes().size() + 3;
+    } else {
+      responseBytes +=
+          encodedRowSize(*outSchema, *decodeRow(row.schema(), row.bytes())) +
+          3;
+    }
   }
 
   result.ok = true;
-  result.rows = std::move(outcome.rows);
+  result.rows = outcome.rows;
+  result.storedBytes = outcome.storedBytes;
   result.rowsAffected = outcome.rowsAffected;
   result.latencyMicros =
       trace.latencyMicros +
@@ -360,8 +384,8 @@ Database::ReadResult Database::readValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // SELECT v FROM kv WHERE k=?
 
   ExecTrace trace;
-  kvKeyTo(key, kvKeyScratch_);
-  const StoredValue* stored = engineGet(kvKeyScratch_, trace);
+  kvKeyTo(key, keyScratch_);
+  const StoredValue* stored = engineGet(keyScratch_, trace);
   result.found = stored != nullptr;
   result.size = stored ? stored->size : 0;
   result.version = stored ? stored->version : 0;
@@ -383,8 +407,8 @@ Database::WriteResult Database::writeValue(sim::Node& client,
   sim::Node& frontend = frontendForStatement();  // UPDATE kv SET v=? WHERE k=?
 
   ExecTrace trace;
-  kvKeyTo(key, kvKeyScratch_);
-  enginePut(kvKeyScratch_, StoredValue::sized(size), trace);
+  kvKeyTo(key, keyScratch_);
+  enginePut(keyScratch_, StoredValue::sized(size), trace);
   result.version = ts_;
 
   result.latencyMicros =
@@ -404,8 +428,8 @@ Database::VersionResult Database::versionCheck(sim::Node& client,
   sim::Node& frontend = frontendForStatement();
 
   ExecTrace trace;
-  kvKeyTo(key, kvKeyScratch_);
-  const StoredValue* stored = engineGet(kvKeyScratch_, trace);
+  kvKeyTo(key, keyScratch_);
+  const StoredValue* stored = engineGet(keyScratch_, trace);
   result.found = stored != nullptr;
   result.version = stored ? stored->version : 0;
 
@@ -424,7 +448,8 @@ Database::VersionResult Database::versionCheckRow(sim::Node& client,
   sim::Node& frontend = frontendForStatement();
 
   ExecTrace trace;
-  const StoredValue* stored = engineGet(rowKey(table, pk), trace);
+  rowKeyTo(table, pk, keyScratch_);
+  const StoredValue* stored = engineGet(keyScratch_, trace);
   result.found = stored != nullptr;
   result.version = stored ? stored->version : 0;
 
@@ -437,16 +462,16 @@ Database::VersionResult Database::versionCheckRow(sim::Node& client,
 
 std::optional<std::uint64_t> Database::peekRowVersion(
     std::string_view table, std::string_view pk) const {
-  const std::string key = rowKey(table, pk);
-  const StoredValue* stored = engines_[nodeFor(key)].get(key);
+  rowKeyTo(table, pk, keyScratch_);
+  const StoredValue* stored = engines_[nodeFor(keyScratch_)].get(keyScratch_);
   if (!stored) return std::nullopt;
   return stored->version;
 }
 
 std::optional<std::uint64_t> Database::peekValueVersion(
     std::string_view key) const {
-  const std::string k = kvKey(key);
-  const StoredValue* stored = engines_[nodeFor(k)].get(k);
+  kvKeyTo(key, keyScratch_);
+  const StoredValue* stored = engines_[nodeFor(keyScratch_)].get(keyScratch_);
   if (!stored) return std::nullopt;
   return stored->version;
 }

@@ -91,6 +91,34 @@ struct ExecTrace {
   NodeBytes nodeBytes;
 };
 
+/// One row the executor fetched for a statement: a view of the stored row,
+/// its primary key and the stored value's logical size.
+struct FetchedRow {
+  std::string_view pk;
+  RowView row;
+  std::uint64_t storedSize = 0;
+};
+
+/// Buffers the executor reuses from one statement to the next, so a read
+/// statement allocates nothing once they have grown. Whatever a statement
+/// leaves here (its result rows included) is valid until the next
+/// statement on the same Database.
+struct ExecScratch {
+  std::vector<RowView> rows;        // the statement's result
+  std::vector<FetchedRow> fetched;  // primary-table rows
+  std::vector<RowView> joined;      // right-table matches of one row
+  std::vector<std::string_view> pks;  // index hits, views of engine keys
+  std::string text;      // the primary key condition's value
+  std::string joinText;  // a join key
+  std::string key;       // the row key being read
+  std::string prefix;    // the prefix being scanned
+  // Projected or joined rows, encoded back to back, with their end offsets
+  // and the schema of their columns.
+  std::string built;
+  std::vector<std::size_t> builtEnds;
+  TableSchema projection;
+};
+
 class Database {
  public:
   struct Config {
@@ -118,10 +146,16 @@ class Database {
   void compact();
 
   // ---- SQL path ----
+  /// `rows` views row bytes in storage (SELECT *) or in this Database's
+  /// scratch (projections, joins): valid until the next statement on this
+  /// Database, and until then only if no schema is replaced.
   struct QueryResult {
     bool ok = false;
     std::string error;
-    std::vector<Row> rows;
+    std::span<const RowView> rows;
+    /// Sum of the returned stored rows' StoredValue::size (SELECT *); 0 for
+    /// projected rows, which are built rather than stored.
+    std::uint64_t storedBytes = 0;
     std::uint64_t rowsAffected = 0;
     double latencyMicros = 0.0;
   };
@@ -209,10 +243,14 @@ class Database {
                                                std::string_view column,
                                                std::string_view value);
   [[nodiscard]] static std::string kvKey(std::string_view key);
+  /// rowKey, indexPrefix and kvKey into `out`, reusing its buffer.
+  static void rowKeyTo(std::string_view table, std::string_view pk,
+                       std::string& out);
+  static void indexPrefixTo(std::string_view table, std::string_view column,
+                            std::string_view value, std::string& out);
+  static void kvKeyTo(std::string_view key, std::string& out);
 
  private:
-  /// kvKey into `out`, reusing its buffer.
-  static void kvKeyTo(std::string_view key, std::string& out);
   /// KV node of a key, from its util::hashKey hash.
   [[nodiscard]] std::size_t nodeForHash(std::uint64_t keyHash) const noexcept {
     return keyHash % engines_.size();
@@ -250,9 +288,10 @@ class Database {
   // Plans hold schema pointers and column indices: createTable clears it.
   std::unordered_map<std::string, QueryPlan, PlanTextHash, std::equal_to<>>
       planCache_;
-  /// The `kv/<key>` storage key of the KV-path statement in flight; valid
-  /// only within one readValue/writeValue/versionCheck call.
-  std::string kvKeyScratch_;
+  /// The storage key of the KV-path statement or peek in flight; valid only
+  /// within one call. Mutable so the const peeks build keys here too.
+  mutable std::string keyScratch_;
+  ExecScratch execScratch_;
   std::uint64_t ts_ = 0;
 };
 

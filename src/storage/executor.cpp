@@ -51,24 +51,35 @@ Executor::Outcome Executor::run(const QueryPlan& plan,
     case StatementKind::kUpdate: return runUpdate(plan, params, trace);
     case StatementKind::kDelete: return runDelete(plan, params, trace);
   }
-  return Outcome{false, "unknown plan kind", {}, 0};
+  return Outcome{false, "unknown plan kind", {}, 0, 0};
+}
+
+void Executor::scanIndex(const TableSchema& schema, std::string_view column,
+                         std::string_view value, ExecTrace& trace) {
+  Database::indexPrefixTo(schema.name(), column, value, s_->prefix);
+  const std::size_t prefixLength = s_->prefix.size();
+  s_->pks.clear();
+  db_->engineScanPrefix(s_->prefix, trace,
+                        [&](std::string_view key, const StoredValue&) {
+                          s_->pks.push_back(key.substr(prefixLength));
+                          return true;
+                        });
 }
 
 bool Executor::fetchPrimary(const TableAccessPlan& access,
                             std::span<const Value> params,
                             std::optional<std::uint64_t> limit,
-                            ExecTrace& trace, std::vector<FetchedRow>& out,
-                            std::string& error) {
+                            ExecTrace& trace, std::string& error) {
   const TableSchema& schema = *access.schema;
+  std::vector<FetchedRow>& out = s_->fetched;
+  out.clear();
 
-  // Residual filter evaluated against a decoded row.
-  auto passesResidual = [&](const Row& row) {
+  // Residual filters decode only the columns they test.
+  auto passesResidual = [&](const RowView& row) {
     for (const BoundCondition& cond : access.residual) {
       const ColumnType type = schema.columns()[cond.columnIndex].type;
       const auto want = resolve(cond.rhs, params, type);
-      if (!want || !valueEquals(row.values[cond.columnIndex], *want)) {
-        return false;
-      }
+      if (!want || !row.equals(cond.columnIndex, *want)) return false;
     }
     return true;
   };
@@ -83,16 +94,19 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
         error = "missing parameter for key condition";
         return false;
       }
-      const std::string pk = valueToString(*pkValue);
-      const StoredValue* stored =
-          db_->engineGet(Database::rowKey(schema.name(), pk), trace);
+      valueTextTo(*pkValue, s_->text);
+      const std::string_view pk = s_->text;
+      Database::rowKeyTo(schema.name(), pk, s_->key);
+      const StoredValue* stored = db_->engineGet(s_->key, trace);
       if (!stored) return true;  // no row: empty result, not an error
-      auto row = decodeRow(schema, stored->payload);
+      const auto row = RowView::of(schema, stored->payload);
       if (!row) {
-        error = "corrupt row for pk " + pk;
+        error = "corrupt row for pk " + std::string(pk);
         return false;
       }
-      if (passesResidual(*row)) out.push_back(FetchedRow{pk, std::move(*row)});
+      if (passesResidual(*row)) {
+        out.push_back(FetchedRow{pk, *row, stored->size});
+      }
       return true;
     }
     case AccessPath::kIndexLookup: {
@@ -103,41 +117,36 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
         return false;
       }
       // Collect matching primary keys from the index, then fetch rows.
-      std::vector<std::string> pks;
-      const std::string prefix = Database::indexPrefix(
-          schema.name(), column.name, valueToString(*keyValue));
-      db_->engineScanPrefix(prefix, trace,
-                            [&](std::string_view key, const StoredValue&) {
-                              pks.emplace_back(key.substr(prefix.size()));
-                              return true;
-                            });
-      for (const std::string& pk : pks) {
+      valueTextTo(*keyValue, s_->text);
+      scanIndex(schema, column.name, s_->text, trace);
+      for (const std::string_view pk : s_->pks) {
         if (atLimit()) break;
-        const StoredValue* stored =
-            db_->engineGet(Database::rowKey(schema.name(), pk), trace);
+        Database::rowKeyTo(schema.name(), pk, s_->key);
+        const StoredValue* stored = db_->engineGet(s_->key, trace);
         if (!stored) continue;  // index entry raced a delete
-        auto row = decodeRow(schema, stored->payload);
+        const auto row = RowView::of(schema, stored->payload);
         if (row && passesResidual(*row)) {
-          out.push_back(FetchedRow{pk, std::move(*row)});
+          out.push_back(FetchedRow{pk, *row, stored->size});
         }
       }
       return true;
     }
     case AccessPath::kTableScan: {
-      const std::string prefix = Database::rowPrefix(schema.name());
+      Database::rowKeyTo(schema.name(), "", s_->prefix);  // the row prefix
+      const std::size_t prefixLength = s_->prefix.size();
       bool corrupt = false;
       db_->engineScanPrefix(
-          prefix, trace, [&](std::string_view key, const StoredValue& stored) {
+          s_->prefix, trace,
+          [&](std::string_view key, const StoredValue& stored) {
             if (atLimit()) return false;
-            auto row = decodeRow(schema, stored.payload);
+            const auto row = RowView::of(schema, stored.payload);
             if (!row) {
               corrupt = true;
               return false;
             }
             if (passesResidual(*row)) {
               out.push_back(
-                  FetchedRow{std::string(key.substr(prefix.size())),
-                             std::move(*row)});
+                  FetchedRow{key.substr(prefixLength), *row, stored.size});
             }
             return true;
           });
@@ -152,48 +161,57 @@ bool Executor::fetchPrimary(const TableAccessPlan& access,
   return false;
 }
 
+bool Executor::fetchTargets(const TableAccessPlan& access,
+                            std::span<const Value> params, ExecTrace& trace,
+                            std::vector<OwnedRow>& out, std::string& error) {
+  if (!fetchPrimary(access, params, std::nullopt, trace, error)) return false;
+  out.reserve(s_->fetched.size());
+  for (const FetchedRow& fetched : s_->fetched) {
+    // RowView::of accepted these bytes, so decodeRow does too.
+    out.push_back(OwnedRow{std::string(fetched.pk),
+                           *decodeRow(*access.schema, fetched.row.bytes())});
+  }
+  return true;
+}
+
 void Executor::fetchJoinMatches(const JoinPlan& join, const Value& key,
-                                ExecTrace& trace, std::vector<Row>& out) {
+                                ExecTrace& trace) {
   const TableSchema& schema = *join.schema;
-  const std::string keyString = valueToString(key);
+  std::vector<RowView>& out = s_->joined;
+  out.clear();
+  valueTextTo(key, s_->joinText);
 
   switch (join.path) {
     case AccessPath::kPointGet: {
-      const StoredValue* stored =
-          db_->engineGet(Database::rowKey(schema.name(), keyString), trace);
+      Database::rowKeyTo(schema.name(), s_->joinText, s_->key);
+      const StoredValue* stored = db_->engineGet(s_->key, trace);
       if (!stored) return;
-      if (auto row = decodeRow(schema, stored->payload)) {
-        out.push_back(std::move(*row));
+      if (const auto row = RowView::of(schema, stored->payload)) {
+        out.push_back(*row);
       }
       return;
     }
     case AccessPath::kIndexLookup: {
-      const std::string& columnName = schema.columns()[join.rightColumn].name;
-      std::vector<std::string> pks;
-      const std::string prefix =
-          Database::indexPrefix(schema.name(), columnName, keyString);
-      db_->engineScanPrefix(prefix, trace,
-                            [&](std::string_view k, const StoredValue&) {
-                              pks.emplace_back(k.substr(prefix.size()));
-                              return true;
-                            });
-      for (const std::string& pk : pks) {
-        const StoredValue* stored =
-            db_->engineGet(Database::rowKey(schema.name(), pk), trace);
+      scanIndex(schema, schema.columns()[join.rightColumn].name, s_->joinText,
+                trace);
+      for (const std::string_view pk : s_->pks) {
+        Database::rowKeyTo(schema.name(), pk, s_->key);
+        const StoredValue* stored = db_->engineGet(s_->key, trace);
         if (!stored) continue;
-        if (auto row = decodeRow(schema, stored->payload)) {
-          out.push_back(std::move(*row));
+        if (const auto row = RowView::of(schema, stored->payload)) {
+          out.push_back(*row);
         }
       }
       return;
     }
     case AccessPath::kTableScan: {
+      Database::rowKeyTo(schema.name(), "", s_->prefix);
       db_->engineScanPrefix(
-          Database::rowPrefix(schema.name()), trace,
+          s_->prefix, trace,
           [&](std::string_view, const StoredValue& stored) {
-            auto row = decodeRow(schema, stored.payload);
-            if (row && valueEquals(row->values[join.rightColumn], key)) {
-              out.push_back(std::move(*row));
+            const auto row = RowView::of(schema, stored.payload);
+            if (row && row->equals(join.rightColumn, key)) {
+              out.push_back(*row);
             }
             return true;
           });
@@ -206,47 +224,75 @@ Executor::Outcome Executor::runSelect(const QueryPlan& plan,
                                       std::span<const Value> params,
                                       ExecTrace& trace) {
   Outcome outcome;
-  std::vector<FetchedRow> primary;
+  std::vector<RowView>& rows = s_->rows;
+  rows.clear();
   // With a join the limit applies to joined output, so fetch unbounded.
   const auto primaryLimit = plan.join ? std::nullopt : plan.limit;
-  if (!fetchPrimary(plan.primary, params, primaryLimit, trace, primary,
+  if (!fetchPrimary(plan.primary, params, primaryLimit, trace,
                     outcome.error)) {
     return outcome;
   }
+  const bool selectStar = plan.projection.empty();
 
-  auto project = [&](const Row& left, const Row* right) {
-    if (plan.projection.empty()) return left;  // SELECT *
-    Row out;
-    out.values.reserve(plan.projection.size());
+  if (!selectStar) {
+    std::vector<Column> columns;
+    columns.reserve(plan.projection.size());
+    for (const ProjectionItem& item : plan.projection) {
+      const TableSchema& from =
+          item.fromJoin ? *plan.join->schema : *plan.primary.schema;
+      columns.push_back(from.columns()[item.column]);
+    }
+    s_->projection = TableSchema({}, std::move(columns), 0);
+  }
+  s_->built.clear();
+  s_->builtEnds.clear();
+
+  // A SELECT * row is the stored row itself; a projected row is encoded
+  // into the scratch and viewed once every row is built.
+  std::size_t emitted = 0;
+  auto emit = [&](const FetchedRow& left, const RowView* right) {
+    ++emitted;
+    if (selectStar) {
+      rows.push_back(left.row);
+      outcome.storedBytes += left.storedSize;
+      return;
+    }
+    Row projected;
+    projected.values.reserve(plan.projection.size());
     for (const ProjectionItem& item : plan.projection) {
       if (item.fromJoin) {
-        out.values.push_back(right ? right->values[item.column]
-                                   : Value{std::string{}});
+        projected.values.push_back(right ? right->value(item.column)
+                                         : Value{std::string{}});
       } else {
-        out.values.push_back(left.values[item.column]);
+        projected.values.push_back(left.row.value(item.column));
       }
     }
-    return out;
+    s_->built.append(encodeRow(s_->projection, projected));
+    s_->builtEnds.push_back(s_->built.size());
   };
+  auto full = [&] { return plan.limit && emitted >= *plan.limit; };
 
-  for (FetchedRow& fetched : primary) {
-    if (plan.limit && outcome.rows.size() >= *plan.limit) break;
+  for (const FetchedRow& left : s_->fetched) {
+    if (full()) break;
     if (!plan.join) {
-      if (plan.projection.empty()) {
-        outcome.rows.push_back(std::move(fetched.row));  // SELECT *
-      } else {
-        outcome.rows.push_back(project(fetched.row, nullptr));
-      }
+      emit(left, nullptr);
       continue;
     }
-    std::vector<Row> matches;
-    fetchJoinMatches(*plan.join, fetched.row.values[plan.join->leftColumn],
-                     trace, matches);
-    for (const Row& right : matches) {
-      if (plan.limit && outcome.rows.size() >= *plan.limit) break;
-      outcome.rows.push_back(project(fetched.row, &right));
+    fetchJoinMatches(*plan.join, left.row.value(plan.join->leftColumn),
+                     trace);
+    for (const RowView& right : s_->joined) {
+      if (full()) break;
+      emit(left, &right);
     }
   }
+  std::size_t begin = 0;
+  for (const std::size_t end : s_->builtEnds) {
+    const std::string_view bytes =
+        std::string_view(s_->built).substr(begin, end - begin);
+    rows.push_back(*RowView::of(s_->projection, bytes));
+    begin = end;
+  }
+  outcome.rows = rows;
   outcome.ok = true;
   return outcome;
 }
@@ -312,12 +358,11 @@ Executor::Outcome Executor::runUpdate(const QueryPlan& plan,
                                       ExecTrace& trace) {
   Outcome outcome;
   const TableSchema& schema = *plan.primary.schema;
-  std::vector<FetchedRow> targets;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets,
-                    outcome.error)) {
+  std::vector<OwnedRow> targets;
+  if (!fetchTargets(plan.primary, params, trace, targets, outcome.error)) {
     return outcome;
   }
-  for (FetchedRow& target : targets) {
+  for (OwnedRow& target : targets) {
     // Remove index entries for columns about to change, then rewrite.
     for (const auto& [col, rhs] : plan.assignments) {
       const auto value = resolve(rhs, params, schema.columns()[col].type);
@@ -346,12 +391,11 @@ Executor::Outcome Executor::runDelete(const QueryPlan& plan,
                                       ExecTrace& trace) {
   Outcome outcome;
   const TableSchema& schema = *plan.primary.schema;
-  std::vector<FetchedRow> targets;
-  if (!fetchPrimary(plan.primary, params, std::nullopt, trace, targets,
-                    outcome.error)) {
+  std::vector<OwnedRow> targets;
+  if (!fetchTargets(plan.primary, params, trace, targets, outcome.error)) {
     return outcome;
   }
-  for (const FetchedRow& target : targets) {
+  for (const OwnedRow& target : targets) {
     deleteRowIndexes(schema, target.row, target.pk, trace);
     if (db_->engineDelete(Database::rowKey(schema.name(), target.pk),
                           trace)) {

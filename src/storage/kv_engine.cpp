@@ -154,9 +154,10 @@ std::optional<std::uint64_t> KvEngine::latestVersion(
   return v->version;
 }
 
-std::size_t KvEngine::sealedLowerBound(std::string_view prefix) const {
+std::size_t KvEngine::sealedLowerBound(std::string_view prefix,
+                                       std::uint64_t prefixHash) const {
   if (!prefix.empty() && prefix.back() == kSeparator) {
-    return dirLowerBound(prefix);
+    return dirLowerBound(prefix, prefixHash);
   }
   // A prefix the directory does not record: binary-search the run.
   std::size_t lo = 0;
@@ -172,11 +173,11 @@ std::size_t KvEngine::sealedLowerBound(std::string_view prefix) const {
   return lo;
 }
 
-std::size_t KvEngine::dirLowerBound(std::string_view prefix) const {
+std::size_t KvEngine::dirLowerBound(std::string_view prefix,
+                                    std::uint64_t prefixHash) const {
   if (dir_.empty()) return sealed_;
-  const std::uint64_t hash = util::fastHash64(prefix);
-  const auto tag = static_cast<std::uint32_t>(hash >> 32);
-  for (std::size_t pos = static_cast<std::size_t>(hash) & dirMask_;
+  const auto tag = static_cast<std::uint32_t>(prefixHash >> 32);
+  for (std::size_t pos = static_cast<std::size_t>(prefixHash) & dirMask_;
        dir_[pos].handle != kEmptySlot; pos = (pos + 1) & dirMask_) {
     if (dir_[pos].tag != tag) continue;
     // A tag match may be another prefix's slot. The position is this
@@ -244,10 +245,16 @@ void KvEngine::sortDelta() const {
 
 std::size_t KvEngine::scanPrefix(std::string_view prefix,
                                  std::uint64_t snapshotTs, ScanFn fn) const {
+  return scanPrefix(prefix, util::fastHash64(prefix), snapshotTs, fn);
+}
+
+std::size_t KvEngine::scanPrefix(std::string_view prefix,
+                                 std::uint64_t prefixHash,
+                                 std::uint64_t snapshotTs, ScanFn fn) const {
   if (deltaUnsorted()) sortDelta();
   // Merge-walk the sealed run and the sorted delta; each side stops at its
   // first key outside the prefix. Keys are unique across the two sides.
-  std::size_t sealedPos = sealedLowerBound(prefix);
+  std::size_t sealedPos = sealedLowerBound(prefix, prefixHash);
   auto deltaPos = std::partition_point(
       deltaOrder_.begin(), deltaOrder_.end(),
       [&](std::uint32_t h) { return keyAt(h) < prefix; });

@@ -93,6 +93,18 @@ class KvEngine {
   /// it may sort the delta in place.
   std::size_t scanPrefix(std::string_view prefix, std::uint64_t snapshotTs,
                          ScanFn fn) const;
+  /// The same scan, given `prefixHash == util::fastHash64(prefix)`, so a
+  /// caller scanning several engines hashes the prefix once.
+  std::size_t scanPrefix(std::string_view prefix, std::uint64_t prefixHash,
+                         std::uint64_t snapshotTs, ScanFn fn) const;
+  /// Prefetch the directory slot a scan of the prefix with this hash
+  /// probes first.
+  void prefetchPrefix(std::uint64_t prefixHash) const noexcept {
+    if (!dir_.empty()) {
+      __builtin_prefetch(
+          &dir_[static_cast<std::size_t>(prefixHash) & dirMask_]);
+    }
+  }
 
   /// Drop all but the newest `keep` versions of every key. Returns number
   /// of versions reclaimed.
@@ -168,10 +180,13 @@ class KvEngine {
   void rebuildIndex(std::size_t slots);
   /// First sealed position whose key is >= `prefix`; for a prefix ending
   /// in kSeparator that no sealed key has, sealed_ instead.
-  [[nodiscard]] std::size_t sealedLowerBound(std::string_view prefix) const;
+  [[nodiscard]] std::size_t sealedLowerBound(std::string_view prefix,
+                                             std::uint64_t prefixHash) const;
   /// Directory lookup: the first sealed position whose key starts with
-  /// `prefix` (which ends in kSeparator), or sealed_ if none does.
-  [[nodiscard]] std::size_t dirLowerBound(std::string_view prefix) const;
+  /// `prefix` (which ends in kSeparator and hashes to `prefixHash`), or
+  /// sealed_ if none does.
+  [[nodiscard]] std::size_t dirLowerBound(std::string_view prefix,
+                                          std::uint64_t prefixHash) const;
   /// Rebuild dir_ from the sealed run.
   void rebuildDirectory();
   [[nodiscard]] bool deltaUnsorted() const noexcept {

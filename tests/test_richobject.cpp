@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "richobject/assembler.hpp"
 #include "richobject/catalog_store.hpp"
@@ -66,8 +69,8 @@ TEST_F(RichObjectTest, HierarchyIdsConsistent) {
 TEST_F(RichObjectTest, GetTableAssemblesFullObject) {
   const auto result = assembler_->getTable(app_, 0);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.object.table.id, 0);
-  EXPECT_EQ(result.object.table.name, "table_0");
+  EXPECT_EQ(result.object->table.id, 0);
+  EXPECT_EQ(result.object->table.name, "table_0");
   EXPECT_GE(result.statementsIssued, 1u);
   EXPECT_LE(result.statementsIssued, 8u);
   EXPECT_GT(result.bytesRead, 0u);
@@ -88,15 +91,15 @@ TEST_F(RichObjectTest, FullBudgetFetchesParentsAndSatellites) {
   const auto result = assembler_->getTable(app_, full);
   ASSERT_TRUE(result.ok);
   EXPECT_EQ(result.statementsIssued, 8u);
-  EXPECT_EQ(result.object.schema.id, store_->schemaIdFor(full));
-  EXPECT_EQ(result.object.catalog.id,
+  EXPECT_EQ(result.object->schema.id, store_->schemaIdFor(full));
+  EXPECT_EQ(result.object->catalog.id,
             store_->catalogIdFor(store_->schemaIdFor(full)));
-  EXPECT_FALSE(result.object.schema.name.empty());
-  EXPECT_GE(result.object.privileges.size(),
+  EXPECT_FALSE(result.object->schema.name.empty());
+  EXPECT_GE(result.object->privileges.size(),
             store_->privilegeCount(full));  // + inherited catalog grants
-  EXPECT_EQ(result.object.constraints.size(), store_->constraintCount(full));
-  EXPECT_EQ(result.object.lineage.size(), store_->lineageCount(full));
-  EXPECT_EQ(result.object.properties.size(), store_->propertyCount(full));
+  EXPECT_EQ(result.object->constraints.size(), store_->constraintCount(full));
+  EXPECT_EQ(result.object->lineage.size(), store_->lineageCount(full));
+  EXPECT_EQ(result.object->properties.size(), store_->propertyCount(full));
 }
 
 TEST_F(RichObjectTest, UnknownTableFails) {
@@ -112,7 +115,7 @@ TEST_F(RichObjectTest, ObjectSizeTracksWorkloadSize) {
     const auto result = assembler_->getTable(app_, t);
     ASSERT_TRUE(result.ok);
     const auto want = trace_->valueSizeFor(t);
-    const auto got = result.object.approximateSize();
+    const auto got = result.object->approximateSize();
     EXPECT_GE(got, want / 2) << "table " << t;
     EXPECT_LE(got, want + 4096) << "table " << t;
   }
@@ -148,7 +151,7 @@ TEST_F(RichObjectTest, UpdateTableBumpsVersion) {
   // And the app-level version column advanced too.
   const auto result = assembler_->getTable(app_, 5);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.object.table.version, 2);
+  EXPECT_EQ(result.object->table.version, 2);
 }
 
 TEST_F(RichObjectTest, PermissionInheritance) {
@@ -181,24 +184,24 @@ TEST_F(RichObjectTest, PermissionInheritance) {
 TEST_F(RichObjectTest, CodecRoundtrip) {
   const auto result = assembler_->getTable(app_, 11);
   ASSERT_TRUE(result.ok);
-  const std::string bytes = encodeObject(result.object);
+  const std::string bytes = encodeObject(*result.object);
   const auto back = decodeObject(bytes);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->table.id, result.object.table.id);
-  EXPECT_EQ(back->table.name, result.object.table.name);
-  EXPECT_EQ(back->table.dataBytes, result.object.table.dataBytes);
-  EXPECT_EQ(back->schema.name, result.object.schema.name);
-  EXPECT_EQ(back->catalog.name, result.object.catalog.name);
-  EXPECT_EQ(back->privileges.size(), result.object.privileges.size());
-  EXPECT_EQ(back->constraints.size(), result.object.constraints.size());
-  EXPECT_EQ(back->lineage.size(), result.object.lineage.size());
-  EXPECT_EQ(back->properties, result.object.properties);
+  EXPECT_EQ(back->table.id, result.object->table.id);
+  EXPECT_EQ(back->table.name, result.object->table.name);
+  EXPECT_EQ(back->table.dataBytes, result.object->table.dataBytes);
+  EXPECT_EQ(back->schema.name, result.object->schema.name);
+  EXPECT_EQ(back->catalog.name, result.object->catalog.name);
+  EXPECT_EQ(back->privileges.size(), result.object->privileges.size());
+  EXPECT_EQ(back->constraints.size(), result.object->constraints.size());
+  EXPECT_EQ(back->lineage.size(), result.object->lineage.size());
+  EXPECT_EQ(back->properties, result.object->properties);
 }
 
 TEST_F(RichObjectTest, CodecRejectsCorruption) {
   const auto result = assembler_->getTable(app_, 2);
   ASSERT_TRUE(result.ok);
-  std::string bytes = encodeObject(result.object);
+  std::string bytes = encodeObject(*result.object);
   int rejected = 0;
   for (std::size_t i = 0; i < bytes.size(); i += 3) {
     std::string corrupt = bytes;
@@ -206,6 +209,23 @@ TEST_F(RichObjectTest, CodecRejectsCorruption) {
     if (!decodeObject(corrupt).has_value()) ++rejected;
   }
   EXPECT_GT(rejected, 0);
+}
+
+TEST(PropertyMap, KeepsMapEmplaceSemantics) {
+  // The first value for a key wins and iteration runs in key order, as
+  // with std::map::emplace; approximateSize and the codec rely on both.
+  PropertyMap properties;
+  EXPECT_TRUE(properties.emplace("prop2", "b"));
+  EXPECT_TRUE(properties.emplace("prop0", "a"));
+  EXPECT_FALSE(properties.emplace("prop2", "ignored"));
+  EXPECT_TRUE(properties.emplace("prop10", "c"));
+  std::vector<std::pair<std::string, std::string>> seen(properties.begin(),
+                                                        properties.end());
+  const std::vector<std::pair<std::string, std::string>> want = {
+      {"prop0", "a"}, {"prop10", "c"}, {"prop2", "b"}};
+  EXPECT_EQ(seen, want);
+  properties.clear();
+  EXPECT_TRUE(properties.empty());
 }
 
 TEST_F(RichObjectTest, EncodedSizeIncludesBlob) {

@@ -3,13 +3,16 @@
 // must stay its own test binary: after populate and warmup, a KV-path
 // storage read statement and a Linked read hit through Deployment::serve
 // must not allocate at all, and neither may an engine prefix scan after
-// populate and compact. Writes are out of scope: MVCC version chains grow
-// by amortized appends.
+// populate and compact. On the rich-object path, a Base getTable through
+// Deployment::serveObject allocates nothing, and neither does a cache hit
+// or a miss that assembles and fills on the four cache architectures.
+// Writes are out of scope: MVCC version chains grow by amortized appends.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "sim/tier.hpp"
 #include "storage/database.hpp"
 #include "workload/synthetic.hpp"
+#include "workload/uc_trace.hpp"
 #include "workload/workload.hpp"
 
 namespace {
@@ -189,6 +193,114 @@ TEST(ServeAlloc, LinkedReadHitsThroughServeAllocateNothing) {
   EXPECT_EQ(deployment.counters().cacheHits - hitsBefore, kMeasuredOps);
   EXPECT_EQ(allocations, 0u);
 }
+
+/// A populated catalog deployment, warmed by reading every table four
+/// times: the first pass misses and fills, and the later ones reach every
+/// app server (Disaggregated spreads reads round-robin over three, so each
+/// fills its hot cache). The passes grow the reused buffers to their
+/// working size.
+class CatalogReads {
+ public:
+  static constexpr std::uint64_t kTables = 1000;
+
+  CatalogReads() : trace_(traceConfig()) {}
+
+  std::unique_ptr<core::Deployment> warmed(
+      core::Architecture architecture) const {
+    core::DeploymentConfig config;
+    config.architecture = architecture;
+    // Writes invalidate on every architecture, so a test can empty the
+    // caches with them.
+    config.writeThroughCache = false;
+    auto deployment = std::make_unique<core::Deployment>(config);
+    deployment->populateCatalog(trace_);
+    for (int pass = 0; pass < 4; ++pass) serveReads(*deployment, kTables);
+    return deployment;
+  }
+
+  workload::Op op(workload::OpType type, std::uint64_t table) const {
+    workload::Op op;
+    op.type = type;
+    op.keyIndex = table;
+    op.valueSize = trace_.valueSizeFor(table);
+    return op;
+  }
+
+  /// Serve `ops` reads over every table in a scattered order; returns the
+  /// allocations they made.
+  std::size_t serveReads(core::Deployment& deployment, std::size_t ops) const {
+    const std::size_t before = gAllocations.load();
+    for (std::size_t i = 0; i < ops; ++i) {
+      deployment.serveObject(
+          op(workload::OpType::kObjectRead, (i * 37) % kTables));
+    }
+    return gAllocations.load() - before;
+  }
+
+ private:
+  static workload::UcTraceConfig traceConfig() {
+    workload::UcTraceConfig config;
+    config.numTables = kTables;
+    return config;
+  }
+
+  workload::UcTraceWorkload trace_;
+};
+
+TEST(ServeAlloc, ObjectReadBaseAllocatesNothing) {
+  // Base has no cache: every read is a whole getTable of up to 8 SQL
+  // statements, assembled into the assembler's reused object.
+  const CatalogReads reads;
+  const auto deployment = reads.warmed(core::Architecture::kBase);
+  const std::uint64_t statementsBefore =
+      deployment->counters().statementsIssued;
+  EXPECT_EQ(reads.serveReads(*deployment, kMeasuredOps), 0u);
+  EXPECT_GE(deployment->counters().statementsIssued - statementsBefore,
+            kMeasuredOps);
+}
+
+class ObjectServeCached : public ::testing::TestWithParam<core::Architecture> {
+ protected:
+  CatalogReads reads_;
+};
+
+TEST_P(ObjectServeCached, ReadHitsAllocateNothing) {
+  const auto deployment = reads_.warmed(GetParam());
+  const std::uint64_t hitsBefore = deployment->counters().cacheHits;
+  EXPECT_EQ(reads_.serveReads(*deployment, kMeasuredOps), 0u);
+  EXPECT_EQ(deployment->counters().cacheHits - hitsBefore, kMeasuredOps);
+}
+
+TEST_P(ObjectServeCached, ReadMissesThatAssembleAndFillAllocateNothing) {
+  // Writing every table (unmeasured: writes allocate) drops it from the
+  // caches, so each measured read misses, assembles through SQL and fills
+  // the slot the write emptied.
+  const auto deployment = reads_.warmed(GetParam());
+  for (std::uint64_t t = 0; t < CatalogReads::kTables; ++t) {
+    deployment->serveObject(reads_.op(workload::OpType::kWrite, t));
+  }
+  const std::uint64_t missesBefore = deployment->counters().cacheMisses;
+  EXPECT_EQ(reads_.serveReads(*deployment, CatalogReads::kTables), 0u);
+  EXPECT_EQ(deployment->counters().cacheMisses - missesBefore,
+            CatalogReads::kTables);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CacheArchitectures, ObjectServeCached,
+    ::testing::Values(core::Architecture::kRemote, core::Architecture::kLinked,
+                      core::Architecture::kLinkedVersion,
+                      core::Architecture::kDisaggregated),
+    [](const ::testing::TestParamInfo<core::Architecture>& info) {
+      switch (info.param) {
+        case core::Architecture::kRemote: return std::string("Remote");
+        case core::Architecture::kLinked: return std::string("Linked");
+        case core::Architecture::kLinkedVersion:
+          return std::string("LinkedVersion");
+        case core::Architecture::kDisaggregated:
+          return std::string("Disaggregated");
+        default: return std::string("Other");
+      }
+    });
 
 }  // namespace
 }  // namespace dcache

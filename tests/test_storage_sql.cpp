@@ -157,6 +157,18 @@ TEST_F(PlannerTest, UnknownTableAndColumnFail) {
 
 // ---- End-to-end execution ----
 
+/// A result's rows as owned values.
+std::vector<Row> materialize(const Database::QueryResult& result) {
+  std::vector<Row> rows;
+  for (const RowView& view : result.rows) {
+    Row& row = rows.emplace_back();
+    for (std::size_t c = 0; c < view.columnCount(); ++c) {
+      row.values.push_back(view.value(c));
+    }
+  }
+  return rows;
+}
+
 class SqlExecution : public ::testing::Test {
  protected:
   SqlExecution()
@@ -198,7 +210,7 @@ TEST_F(SqlExecution, InsertAndPointSelect) {
   auto sel = exec("SELECT * FROM users WHERE id = ?", {std::int64_t{1}});
   ASSERT_TRUE(sel.ok) << sel.error;
   ASSERT_EQ(sel.rows.size(), 1u);
-  EXPECT_EQ(std::get<std::string>(sel.rows[0].at(2)), "amy");
+  EXPECT_EQ(std::get<std::string>(sel.rows[0].value(2)), "amy");
   EXPECT_GT(sel.latencyMicros, 0.0);
 }
 
@@ -220,7 +232,7 @@ TEST_F(SqlExecution, ResidualFilterApplies) {
   auto sel = exec("SELECT * FROM users WHERE team_id = 10 AND name = 'bob'");
   ASSERT_TRUE(sel.ok);
   ASSERT_EQ(sel.rows.size(), 1u);
-  EXPECT_EQ(valueToInt(sel.rows[0].at(0)), 2);
+  EXPECT_EQ(valueToInt(sel.rows[0].value(0)), 2);
 }
 
 TEST_F(SqlExecution, JoinPointGet) {
@@ -231,8 +243,8 @@ TEST_F(SqlExecution, JoinPointGet) {
       "WHERE id = 1");
   ASSERT_TRUE(sel.ok) << sel.error;
   ASSERT_EQ(sel.rows.size(), 1u);
-  EXPECT_EQ(std::get<std::string>(sel.rows[0].at(0)), "amy");
-  EXPECT_EQ(std::get<std::string>(sel.rows[0].at(1)), "infra");
+  EXPECT_EQ(std::get<std::string>(sel.rows[0].value(0)), "amy");
+  EXPECT_EQ(std::get<std::string>(sel.rows[0].value(1)), "infra");
 }
 
 TEST_F(SqlExecution, JoinInnerSemanticsDropUnmatched) {
@@ -361,15 +373,18 @@ TEST_F(PlanCache, RepeatedTextReturnsAndChargesTheSame) {
   Database::QueryResult second;
   const Charges missCharges = chargedBy(kSql, {std::int64_t{10}}, first);
   EXPECT_EQ(db_.planCacheSize(), cachedBefore + 1);
+  // Result rows are views valid until the next statement: copy them out.
+  const std::vector<Row> firstRows = materialize(first);
   const Charges hitCharges = chargedBy(kSql, {std::int64_t{10}}, second);
   EXPECT_EQ(db_.planCacheSize(), cachedBefore + 1);
 
   ASSERT_TRUE(first.ok) << first.error;
   ASSERT_TRUE(second.ok) << second.error;
-  ASSERT_EQ(first.rows.size(), 2u);
+  ASSERT_EQ(firstRows.size(), 2u);
   ASSERT_EQ(second.rows.size(), 2u);
-  for (std::size_t i = 0; i < first.rows.size(); ++i) {
-    EXPECT_EQ(first.rows[i].values, second.rows[i].values);
+  const std::vector<Row> secondRows = materialize(second);
+  for (std::size_t i = 0; i < firstRows.size(); ++i) {
+    EXPECT_EQ(firstRows[i].values, secondRows[i].values);
   }
   EXPECT_EQ(first.latencyMicros, second.latencyMicros);
   // The cache saves host work only: the modeled parse and plan are still
@@ -387,7 +402,7 @@ TEST_F(PlanCache, RedefinedTableInvalidatesCachedPlans) {
   auto before = exec(kSql, {std::int64_t{10}});
   ASSERT_TRUE(before.ok) << before.error;
   ASSERT_EQ(before.rows.size(), 1u);
-  EXPECT_EQ(before.rows[0].values.size(), 2u);
+  EXPECT_EQ(before.rows[0].columnCount(), 2u);
   EXPECT_GT(db_.planCacheSize(), 0u);
 
   db_.createTable(TableSchema("teams",
@@ -400,8 +415,8 @@ TEST_F(PlanCache, RedefinedTableInvalidatesCachedPlans) {
   auto after = exec(kSql, {std::int64_t{20}});
   ASSERT_TRUE(after.ok) << after.error;
   ASSERT_EQ(after.rows.size(), 1u);
-  ASSERT_EQ(after.rows[0].values.size(), 3u);
-  EXPECT_EQ(std::get<std::string>(after.rows[0].at(2)), "eu");
+  ASSERT_EQ(after.rows[0].columnCount(), 3u);
+  EXPECT_EQ(std::get<std::string>(after.rows[0].value(2)), "eu");
 }
 
 TEST_F(PlanCache, ErrorsAreReportedAndChargedOnEveryCall) {
