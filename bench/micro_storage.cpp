@@ -1,11 +1,11 @@
 // dcache-lint: allow-file(bench-hygiene, Google-Benchmark microbench — stdout carries wall-clock timings and can never be byte-deterministic, so it is excluded from the determinism diff and golden gates)
 // Micro-benchmarks for the storage engine: SQL parse/plan, end-to-end
-// statement execution (including the plan-cache hit path), raw KV engine
-// point gets and prefix scans (present and absent), the row codec, and the
-// rich-object assembly those statements serve (getTable on Base). The
-// parse/plan numbers here are the *host* cost of our mini engine; the
-// simulated TiDB front-end charges the calibrated constants documented in
-// core/calibration.hpp instead.
+// statement execution (including the plan-cache hit path), block-cache
+// touches, raw KV engine point gets and prefix scans (present and absent),
+// the row codec, and the rich-object assembly those statements serve
+// (getTable on Base). The parse/plan numbers here are the *host* cost of
+// our mini engine; the simulated TiDB front-end charges the calibrated
+// constants documented in core/calibration.hpp instead.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -16,9 +16,11 @@
 #include "richobject/assembler.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
+#include "storage/block_cache.hpp"
 #include "storage/database.hpp"
 #include "storage/kv_engine.hpp"
 #include "storage/sql_parser.hpp"
+#include "util/hash.hpp"
 #include "workload/uc_trace.hpp"
 #include "workload/workload.hpp"
 
@@ -172,6 +174,46 @@ void BM_KvWriteValue(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KvWriteValue);
+
+/// Block-cache probes over a resident set larger than the LLC: 500K blocks,
+/// the size of the Meta keyspace. Key hashes are util::mix64 of a counter,
+/// and a prime stride walks them in scattered order.
+constexpr std::uint64_t kResidentBlocks = 500000;
+
+std::uint64_t residentBlockHash(std::uint64_t i) { return util::mix64(i + 1); }
+
+void warmBlockCache(storage::BlockCache& cache) {
+  for (std::uint64_t i = 0; i < kResidentBlocks; ++i) {
+    cache.touchRead(residentBlockHash(i), 4096);
+  }
+}
+
+/// A read of a resident block: every touch hits.
+void BM_BlockCacheTouchRead(benchmark::State& state) {
+  storage::BlockCache cache(util::Bytes::gb(4));
+  warmBlockCache(cache);
+  std::uint64_t k = 0;
+  std::uint64_t hits = 0;
+  for (auto _ : state) {
+    hits += cache.touchRead(residentBlockHash(k), 4096);
+    k = (k + 7919) % kResidentBlocks;
+  }
+  benchmark::DoNotOptimize(hits);
+}
+BENCHMARK(BM_BlockCacheTouchRead);
+
+/// A write to a resident block: every touch overwrites in place.
+void BM_BlockCacheTouchWrite(benchmark::State& state) {
+  storage::BlockCache cache(util::Bytes::gb(4));
+  warmBlockCache(cache);
+  std::uint64_t k = 0;
+  for (auto _ : state) {
+    cache.touchWrite(residentBlockHash(k), 4096);
+    k = (k + 7919) % kResidentBlocks;
+  }
+  benchmark::DoNotOptimize(cache.stats().overwrites);
+}
+BENCHMARK(BM_BlockCacheTouchWrite);
 
 void BM_KvEngineRawGet(benchmark::State& state) {
   storage::KvEngine engine;

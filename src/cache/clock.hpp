@@ -1,7 +1,8 @@
 // CLOCK (second-chance) eviction: an LRU approximation with O(1) hits that
 // never touches a global list — the structure used by TiKV-style block
-// caches where lock contention on a recency list matters. Our storage-layer
-// block cache composes this policy.
+// caches where lock contention on a recency list matters. The storage-layer
+// block cache (storage/block_cache.hpp) runs the same sweep over block
+// numbers.
 #pragma once
 
 #include <string>

@@ -3,7 +3,8 @@
 // must stay its own test binary: after populate and warmup, a KV-path
 // storage read statement and a Linked read hit through Deployment::serve
 // must not allocate at all, and neither may an engine prefix scan after
-// populate and compact. On the rich-object path, a Base getTable through
+// populate and compact, or a block-cache read or write of a resident
+// block. On the rich-object path, a Base getTable through
 // Deployment::serveObject allocates nothing, and neither does a cache hit
 // or a miss that assembles and fills on the four cache architectures.
 // Writes are out of scope: MVCC version chains grow by amortized appends.
@@ -20,6 +21,7 @@
 #include "core/deployment.hpp"
 #include "rpc/channel.hpp"
 #include "sim/tier.hpp"
+#include "storage/block_cache.hpp"
 #include "storage/database.hpp"
 #include "workload/synthetic.hpp"
 #include "workload/uc_trace.hpp"
@@ -118,6 +120,27 @@ TEST(ServeAlloc, KvReadValueOnResidentKeysAllocatesNothing) {
   }
   const std::size_t allocations = gAllocations.load() - before;
   EXPECT_EQ(found, kMeasuredOps);
+  EXPECT_EQ(allocations, 0u);
+}
+
+TEST(ServeAlloc, BlockCacheTouchesAllocateNothing) {
+  storage::BlockCache cache(util::Bytes::gb(1));
+  std::vector<std::uint64_t> hashes;
+  for (std::uint64_t k = 0; k < kResidentKeys; ++k) {
+    hashes.push_back(util::hashKey(workload::keyName(k)));
+    cache.touchRead(hashes.back(), 4096);  // warm: load every block
+  }
+
+  std::size_t hits = 0;
+  const std::size_t before = gAllocations.load();
+  for (std::size_t i = 0; i < kMeasuredOps; ++i) {
+    const std::uint64_t hash = hashes[(i * 37) % hashes.size()];
+    hits += cache.touchRead(hash, 4096);
+    cache.touchWrite(hash, i % 2 == 0 ? 4096 : 6000);
+  }
+  const std::size_t allocations = gAllocations.load() - before;
+  EXPECT_EQ(hits, kMeasuredOps);
+  EXPECT_EQ(cache.stats().evictions, 0u);
   EXPECT_EQ(allocations, 0u);
 }
 

@@ -9,6 +9,7 @@
 #include "storage/kv_engine.hpp"
 #include "storage/row.hpp"
 #include "storage/schema.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace dcache::storage {
@@ -139,10 +140,20 @@ TEST(BlockCache, BlocksAtLeastPageSized) {
 }
 
 TEST(BlockCache, BlockIdGroupsAndIsStable) {
-  const std::string id = BlockCache::blockIdFor("some-key");
-  EXPECT_EQ(id, BlockCache::blockIdFor("some-key"));
-  EXPECT_EQ(id.size(), 17u);
-  EXPECT_EQ(id[0], 'b');
+  const std::uint64_t hash = util::hashKey("some-key");
+  const std::uint64_t block = BlockCache::blockOf(hash);
+  EXPECT_EQ(block, BlockCache::blockOf(util::hashKey("some-key")));
+  // 16 adjacent hashes share a block; the next 16 are the next block.
+  const std::uint64_t first = hash & ~std::uint64_t{15};
+  for (std::uint64_t h = first; h < first + 16; ++h) {
+    EXPECT_EQ(BlockCache::blockOf(h), block);
+  }
+  EXPECT_EQ(BlockCache::blockOf(first + 16), block + 1);
+  // A key and its block neighbour hit the same cached block.
+  BlockCache cache(util::Bytes::mb(4));
+  EXPECT_FALSE(cache.touchRead(first, 100));
+  EXPECT_TRUE(cache.touchRead(first + 15, 100));
+  EXPECT_FALSE(cache.touchRead(first + 16, 100));
 }
 
 TEST(BlockCache, EvictsUnderPressure) {

@@ -452,12 +452,15 @@ void ruleHotPathAlloc(const LintInput& in, std::vector<Finding>& out) {
       "push_back", "emplace_back", "resize", "reserve", "assign", "insert"};
 
   for (const SourceFile& f : in.files) {
-    // The serve-path whitelist: the slab/arena storage, the flat cache, and
-    // the SLRU wrapper whose segments are flat caches. The node-based
+    // The serve-path whitelist: the slab/arena storage, the flat cache, the
+    // SLRU wrapper whose segments are flat caches, and the storage block
+    // cache (touched by every storage read and write). The node-based
     // reference backends (lru.cpp, clock.cpp, ...) allocate per entry by
     // design and are deliberately out of scope.
     if (!fileIs(f, {"src/cache/slab.hpp", "src/cache/flat_cache.hpp",
-                    "src/cache/flat_cache.cpp", "src/cache/slru.cpp"})) {
+                    "src/cache/flat_cache.cpp", "src/cache/slru.cpp",
+                    "src/storage/block_cache.hpp",
+                    "src/storage/block_cache.cpp"})) {
       continue;
     }
     const Tokens& t = f.tokens;

@@ -10,6 +10,11 @@
 #                                      wall-clock regresses more than
 #                                      PERF_TOLERANCE_PCT (default 20) vs
 #                                      the committed baseline
+#   tools/perf.sh micro  [build-dir]   run the layer micro benches and store
+#                                      Google Benchmark's JSON report
+#                                      (PERF_RUNS repetitions, aggregates
+#                                      only) as perf/MICRO_<layer>.json;
+#                                      recorded, not gated
 #
 # The records use schema dcache.bench.v1 (see bench_common.hpp): wall_ms,
 # ops/sec of simulated requests, peak RSS. Timing goes only to these JSON
@@ -31,6 +36,7 @@ BENCHES=(fig2_model fig3_uc_trace fig4_synthetic fig5_kv_workloads
          fig6_breakdown fig7_rich_objects fig8_delayed_writes
          fig9_failure_timeline fig10_overload fig11_gray_failures
          fig12_churn ablation_cache_alloc ablation_consistency ext_workloads)
+MICRO_LAYERS=(storage)
 
 if [[ ! -d "$BUILD_DIR/bench" ]]; then
   echo "perf.sh: build dir '$BUILD_DIR' has no bench/ — build first" >&2
@@ -92,8 +98,22 @@ case "$MODE" in
     done
     exit "$failed"
     ;;
+  micro)
+    mkdir -p "$PERF_DIR"
+    for layer in "${MICRO_LAYERS[@]}"; do
+      out="$PERF_DIR/MICRO_${layer}.json"
+      tmp="$(mktemp)"
+      "$BUILD_DIR/bench/micro_${layer}" --benchmark_out="$tmp" \
+        --benchmark_out_format=json --benchmark_repetitions="$RUNS" \
+        --benchmark_report_aggregates_only=true > /dev/null
+      # The host name says nothing about the code; keep it out of the repo.
+      grep -v '"host_name":' "$tmp" > "$out"
+      rm -f "$tmp"
+      echo "perf.sh: recorded $out"
+    done
+    ;;
   *)
-    echo "usage: tools/perf.sh {record|check} [build-dir]" >&2
+    echo "usage: tools/perf.sh {record|check|micro} [build-dir]" >&2
     exit 2
     ;;
 esac
